@@ -2,16 +2,23 @@
 suites, emit machine-readable reports.
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage or
-configuration error.  All emitted numbers are exact rational strings.
+configuration error, 3 internal error (a computation raised: a verify
+task that raised is recorded with status "error" and the report is
+still written).  All emitted numbers are exact rational strings.
 """
 
 import argparse
+import re
 import sys
 
 from . import gaudin
 from .rationals import parse_rational
 from .reports import build_report, report_bytes, scalar_str, write_json
 from .suites import SUITE_NAMES, run_suite
+
+
+EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 class UsageError(Exception):
@@ -93,6 +100,11 @@ def resolve_config(args):
         cfg["points"] = tuple(str(2 ** k - 1) for k in range(1, cfg["sites"] + 1))
     if cfg["n"] < 1:
         raise UsageError("N must be >= 1")
+    if cfg["sites"] < 1:
+        raise UsageError("sites must be >= 1")
+    for key in ("u_order", "v_order", "x_order"):
+        if cfg[key] < 0:
+            raise UsageError("%s must be >= 0" % key)
     if cfg["m_max"] < 1:
         raise UsageError("m_max must be >= 1")
     if cfg["workers"] < 1:
@@ -159,10 +171,16 @@ def cmd_hamiltonians(cfg):
     return 0
 
 
+def _exit_code(report):
+    if any(c["status"] == "error" for c in report["checks"]):
+        return EXIT_INTERNAL
+    return 0 if report["pass"] else 1
+
+
 def cmd_verify(cfg):
     report = run_suite(cfg["suite"], cfg, cfg["workers"])
     _emit(report, cfg["out"])
-    return 0 if report["pass"] else 1
+    return _exit_code(report)
 
 
 def cmd_qlimit(cfg, m):
@@ -179,7 +197,7 @@ def cmd_qlimit(cfg, m):
         "all commutativity statements unchanged"
     )
     _emit(report, cfg["out"])
-    return 0 if report["pass"] else 1
+    return _exit_code(report)
 
 
 def build_parser():
@@ -227,9 +245,37 @@ def build_parser():
     return parser
 
 
+# a value such as "-1,2" or "-1/2,3" that argparse would take for an option
+_NEGATIVE_POINTS = re.compile(r"^-\d")
+
+
+def join_points(argv):
+    """Glue "--points" to a following value that starts with a minus sign.
+
+    argparse reads "--points -1,2" as "--points" with its value missing,
+    since "-1,2" looks like an option; "--points=-1,2" is unambiguous.
+    """
+    out = []
+    it = iter(argv)
+    for arg in it:
+        if arg == "--points":
+            value = next(it, None)
+            if value is not None and _NEGATIVE_POINTS.match(value):
+                out.append("--points=" + value)
+                continue
+            out.append(arg)
+            if value is not None:
+                out.append(value)
+            continue
+        out.append(arg)
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = parser.parse_args(join_points(argv))
     try:
         cfg = resolve_config(args)
         if args.command == "hamiltonians":
@@ -241,10 +287,10 @@ def main(argv=None):
         raise UsageError("unknown command %r" % args.command)
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 2
+        return EXIT_USAGE
     except (ValueError, ArithmeticError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+        print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

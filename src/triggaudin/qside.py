@@ -7,6 +7,16 @@ traced fused products give commuting transfer-matrix-like elements.
 The ``classical_limit_compare`` machinery expands in eps = q - 1 and
 matches the q-side operators against the classical two-route builder.
 
+Rings: the bivariate identities (``rll_check``, ``bethe_commut_check``)
+are built from denominator-cleared R-matrices, so every entry is a
+Laurent polynomial in q, u, v; they are checked in the sparse ring
+:data:`QUV` = Q[q^+-1, u^+-1, v^+-1], which needs no gcd.  That ring is
+a subring of Q(q)(u)(v), so a difference vanishes there exactly when it
+vanishes in the rational-function tower.  The traced products
+(``mcal``, ``mcal_collapsed``), the classical limit and the central
+term divide by (q - 1)^m and by the R-matrix denominators, and stay in
+the Q(q)(u) tower.
+
 Convention note: the eps^1 coefficient of L+(u) differs from the
 classical current sum_i r_{0i}(u/a_i) by the central scalar series
 sum_i (a_i+u)/(a_i-u); all limit comparisons use the self-consistent
@@ -16,6 +26,7 @@ which leaves every commutativity statement untouched.
 
 from math import comb, factorial
 
+from .laurent import LaurentRing
 from .rationals import QQ
 from .ratfun import FracField, RatFun
 from .series import SeriesRing, TruncSeries
@@ -32,6 +43,10 @@ from .rmatrices import (
     r_quantum,
     r_quantum_scaled,
 )
+
+# The ring of the cleared bivariate identities (exchange relation, fused
+# commutators): every entry there is a Laurent polynomial in q, u, v.
+QUV = LaurentRing(("q", "u", "v"))
 
 
 def embed_rational(ring, a):
@@ -101,24 +116,37 @@ def qrep_current(rep, ring=None, q=None, u=None, space=None, aux="z0", cleared=F
     return out
 
 
-def rll_check(rep):
-    """Exchange relation R(u/v) L1(u) L2(v) = L2(v) L1(u) R(u/v), bivariate."""
-    Fu = rep.ufield
-    Fuv = FracField("v", Fu)
-    q = Fuv.embed(Fu.embed(Qq.gen))
-    u = Fuv.embed(Fu.gen)
-    v = Fuv.gen
+def exchange_difference(rep, R):
+    """R12 L1(u) L2(v) - L2(v) L1(u) R12 over Q[q^+-1, u^+-1, v^+-1].
+
+    ``R`` is a two-leg tensor over :data:`QUV`; its legs are placed on
+    the auxiliary spaces of the two currents.  The currents are built
+    from denominator-cleared R-matrices, so every entry is a Laurent
+    polynomial.
+    """
+    q, u, v = QUV.gens
     legs = [aux_leg("b1"), aux_leg("b2")] + [
         quantum_leg(nm) for nm in rep.site_names()
     ]
     space = Space(rep.N, legs)
-    L1 = qrep_current(rep, ring=Fuv, q=q, u=u, space=space, aux="b1", cleared=True)
-    L2 = qrep_current(rep, ring=Fuv, q=q, u=v, space=space, aux="b2", cleared=True)
-    # the extra factor v clears the 1/v left by the ratio argument
-    R = r_quantum_scaled(rep.N, Fuv, q, u / v).scale(v)
+    L1 = qrep_current(rep, ring=QUV, q=q, u=u, space=space, aux="b1", cleared=True)
+    L2 = qrep_current(rep, ring=QUV, q=q, u=v, space=space, aux="b2", cleared=True)
     src = R.space.leg_names()
     R12 = R.embed(space, {src[0]: "b1", src[1]: "b2"})
-    return (R12 * L1 * L2 - L2 * L1 * R12).is_zero()
+    return R12 * L1 * L2 - L2 * L1 * R12
+
+
+def rll_check(rep):
+    """Exchange relation R(u/v) L1(u) L2(v) = L2(v) L1(u) R(u/v), bivariate.
+
+    Checked in the Laurent ring Q[q^+-1, u^+-1, v^+-1]: a subring of
+    Q(q)(u)(v), so the difference vanishes there exactly when it
+    vanishes in the rational-function tower.
+    """
+    q, u, v = QUV.gens
+    # the extra factor v clears the 1/v left by the ratio argument
+    R = r_quantum_scaled(rep.N, QUV, q, u / v).scale(v)
+    return exchange_difference(rep, R).is_zero()
 
 
 def _pq_cycle_chain(space, ring, q, names):
@@ -174,17 +202,15 @@ def bethe(rep, kind, k, with_D=False, ring=None, q=None, u=None, cleared=False):
 
 
 def bethe_commut_check(rep, spec_a, spec_b):
-    """[B(u), B'(v)] = 0 as a bivariate rational identity over Q(q).
+    """[B(u), B'(v)] = 0 as a bivariate identity over Q[q^+-1, u^+-1, v^+-1].
 
-    Each spec is a (kind, k, with_D) triple.
+    Each spec is a (kind, k, with_D) triple.  The fused elements are
+    built from cleared currents, so every entry is a Laurent polynomial
+    and the check needs no rational-function arithmetic.
     """
-    Fu = rep.ufield
-    Fuv = FracField("v", Fu)
-    q = Fuv.embed(Fu.embed(Qq.gen))
-    u = Fuv.embed(Fu.gen)
-    v = Fuv.gen
-    A = bethe(rep, spec_a[0], spec_a[1], spec_a[2], ring=Fuv, q=q, u=u, cleared=True)
-    B = bethe(rep, spec_b[0], spec_b[1], spec_b[2], ring=Fuv, q=q, u=v, cleared=True)
+    q, u, v = QUV.gens
+    A = bethe(rep, spec_a[0], spec_a[1], spec_a[2], ring=QUV, q=q, u=u, cleared=True)
+    B = bethe(rep, spec_b[0], spec_b[1], spec_b[2], ring=QUV, q=q, u=v, cleared=True)
     return (A * B - B * A).is_zero()
 
 

@@ -4,7 +4,8 @@ Reports are plain JSON with every number rendered as an exact rational
 string ("p/q" or "p"); no floats and no timestamps appear anywhere, so
 a report is byte-identical across runs and worker counts.  Failing
 checks carry a witness (sparse triplets of the offending difference)
-sufficient to reproduce the discrepancy.
+sufficient to reproduce the discrepancy; a check whose task raised has
+status "error" and the exception's type and message as its witness.
 """
 
 import json
@@ -34,6 +35,16 @@ def record(check_id, claim, ok, witness=None):
         "claim": claim,
         "status": "pass" if ok else "fail",
         "witness": None if ok else witness,
+    }
+
+
+def error_record(check_id, claim, exc):
+    """A check whose task raised: the exception is its witness."""
+    return {
+        "id": check_id,
+        "claim": claim,
+        "status": "error",
+        "witness": {"type": type(exc).__name__, "message": str(exc)},
     }
 
 

@@ -153,10 +153,13 @@ def r_quantum(N, ring, q, x, legs=None):
 def r_quantum_scaled(N, ring, q, x, legs=None):
     """(q - x/q) R(x): the R-matrix with its denominator cleared.
 
-    All entries are polynomial in x, which keeps tower arithmetic
-    (bivariate identity checks) away from rational-function reduction.
+    All entries are Laurent polynomials in q and x, so the bivariate
+    identity checks of :mod:`triggaudin.qside` build it over the Laurent
+    ring Q[q^+-1, u^+-1, v^+-1] and never divide by anything but q.
     Identities that are homogeneous in R are unaffected by the central
-    scalar factor.
+    scalar factor, and since the Laurent ring is a subring of Q(q)(u)(v)
+    they hold there exactly when they hold in the rational-function
+    tower.
     """
     one = ring.one
     qinv = one / q

@@ -4,17 +4,19 @@ Each suite is a fixed ordered list of task descriptors; tasks are pure
 module-level functions with plain-data arguments, so they can run in
 worker processes while the assembled report stays byte-identical for
 any worker count.  Every task returns (ok, witness) with a
-JSON-serializable witness describing the failure.
+JSON-serializable witness describing the failure; a task that raises
+is recorded with status "error" instead of stopping the suite.
 """
 
 import itertools
 import random
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 
 from . import gaudin, pbw, qside
 from .rationals import QQ, parse_rational
 from .ratfun import FracField
-from .reports import build_report, record, tensor_triplets
+from .reports import build_report, error_record, record, tensor_triplets
 from .rmatrices import (
     Qq,
     permutation,
@@ -661,24 +663,36 @@ def build_tasks(suite, cfg):
 
 
 def _dispatch(task):
+    """Run one task; an exception it raises becomes an "error" record.
+
+    The traceback goes to stderr; the report keeps only the exception's
+    type and message, so its bytes do not depend on file paths.
+    """
     check_id, claim, fn_name, kwargs = task
-    ok, witness = globals()[fn_name](**kwargs)
+    try:
+        ok, witness = globals()[fn_name](**kwargs)
+    except Exception as exc:
+        traceback.print_exc()
+        return error_record(check_id, claim, exc)
     return record(check_id, claim, ok, witness)
 
 
-def run_suite(suite, cfg, workers=1):
-    """Run a named suite and return the report dict.
+def run_tasks(tasks, workers=1):
+    """The records of the given task descriptors, in task order.
 
-    Task order is fixed; with several workers the tasks run in separate
-    processes but results are assembled in the same order, so the
-    report is byte-identical for any worker count.
+    With several workers the tasks run in separate processes but the
+    records come back in the same order, so the report built from them
+    is byte-identical for any worker count.
     """
-    tasks = build_tasks(suite, cfg)
     if workers <= 1:
-        records = [_dispatch(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            records = list(ex.map(_dispatch, tasks))
+        return [_dispatch(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as ex:
+        return list(ex.map(_dispatch, tasks))
+
+
+def run_suite(suite, cfg, workers=1):
+    """Run a named suite and return the report dict."""
+    records = run_tasks(build_tasks(suite, cfg), workers)
     config_summary = {
         "N": cfg["N"],
         "points": list(cfg["points"]),

@@ -149,10 +149,14 @@ class AuxTensor:
     def __eq__(self, other):
         if not isinstance(other, AuxTensor):
             return NotImplemented
-        return self.space == other.space and self.entries == other.entries
+        return (
+            self.space == other.space
+            and self.ring == other.ring
+            and self.entries == other.entries
+        )
 
     def __hash__(self):
-        return hash((self.space, tuple(sorted(self.entries.items()))))
+        return hash((self.space, self.ring, tuple(sorted(self.entries.items()))))
 
     def __add__(self, other):
         self._check(other)

@@ -59,7 +59,11 @@ class DiffOp:
     def __eq__(self, other):
         if not isinstance(other, DiffOp):
             return NotImplemented
-        return self.space == other.space and self.coeffs == other.coeffs
+        return (
+            self.space == other.space
+            and self.ring == other.ring
+            and self.coeffs == other.coeffs
+        )
 
     def __add__(self, other):
         self._check(other)
@@ -204,7 +208,12 @@ class QDiffOp:
     def __eq__(self, other):
         if not isinstance(other, QDiffOp):
             return NotImplemented
-        return self.space == other.space and self.coeffs == other.coeffs
+        return (
+            self.space == other.space
+            and self.ring == other.ring
+            and self.shift == other.shift
+            and self.coeffs == other.coeffs
+        )
 
     def __add__(self, other):
         self._check(other)

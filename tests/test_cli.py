@@ -4,11 +4,11 @@ import json
 
 import pytest
 
-from triggaudin import cli
+from triggaudin import cli, gaudin, qside, suites
 from triggaudin.kernels import sparse_matmul, sparse_add
 from triggaudin.rationals import parse_rational
 from triggaudin.reports import report_bytes
-from triggaudin.suites import run_suite
+from triggaudin.suites import run_suite, run_tasks
 
 
 def run(argv):
@@ -69,6 +69,34 @@ class TestConfig:
     def test_unknown_suite(self):
         assert run(["verify", "--suite", "everything"]) == 2
 
+    def test_out_of_range_sizes_are_usage_errors(self):
+        # rejected with the other flags, not as internal errors further in
+        assert run(["verify", "--sites", "0"]) == 2
+        assert run(["verify", "--x-order", "-1"]) == 2
+
+    def test_usage_error_writes_no_report(self, tmp_path):
+        out = tmp_path / "report.json"
+        code = run(["verify", "--suite", "quadham", "--points=1,1", "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+
+    def test_negative_points_split_form(self, tmp_path):
+        out = tmp_path / "report.json"
+        code = run(["verify", "--suite", "ybe", "--points", "-1,2", "--out", str(out)])
+        assert code == 0
+        assert load(out)["config"]["points"] == ["-1", "2"]
+
+    def test_join_points_leaves_other_arguments(self):
+        argv = ["verify", "--points", "-1/2,3", "--out", "-", "--points", "1,2"]
+        assert cli.join_points(argv) == [
+            "verify",
+            "--points=-1/2,3",
+            "--out",
+            "-",
+            "--points",
+            "1,2",
+        ]
+
 
 class TestHamiltonians:
     def test_operators_commute_after_reload(self, tmp_path):
@@ -118,6 +146,44 @@ class TestVerify:
         serial = report_bytes(run_suite("ybe", cfg, 1))
         parallel = report_bytes(run_suite("ybe", cfg, 2))
         assert serial == parallel
+
+
+def _not_a_unit(*args, **kwargs):
+    q = qside.QUV.gens[0]
+    return qside.QUV.one / (q + qside.QUV.one), None
+
+
+class TestFailureIsolation:
+    BAD = ("qside/bad", "repeated points", "task_rll", {"N": 2, "points": ["1", "1"]})
+    GOOD = ("trace/one-leg", "one-leg trace", "task_trace_one_leg", {"N": 2})
+
+    def test_raising_task_is_recorded_as_error(self):
+        serial = run_tasks([self.BAD, self.GOOD], 1)
+        assert serial[0]["status"] == "error"
+        assert serial[0]["witness"] == {
+            "type": "ValueError",
+            "message": "evaluation points must be pairwise distinct",
+        }
+        assert serial[1]["status"] == "pass"
+        assert run_tasks([self.BAD, self.GOOD], 2) == serial
+
+    def test_verify_task_error_exits_3_with_report(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(suites, "task_classical_ybe", _not_a_unit)
+        out = tmp_path / "report.json"
+        assert run(["verify", "--suite", "ybe", "--out", str(out)]) == 3
+        doc = load(out)
+        assert doc["pass"] is False
+        errors = [c for c in doc["checks"] if c["status"] == "error"]
+        assert errors and all(
+            c["witness"]["type"] == "ArithmeticError" for c in errors
+        )
+        assert any(c["status"] == "pass" for c in doc["checks"])
+
+    def test_internal_error_is_not_a_usage_error(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(gaudin, "extract_family", _not_a_unit)
+        out = tmp_path / "family.json"
+        assert run(["hamiltonians", "--out", str(out)]) == 3
+        assert not out.exists()
 
 
 class TestQlimit:

@@ -205,6 +205,13 @@ class TestTruncSeries:
         assert d.order == 2
         assert [d.coefficient(k) for k in range(3)] == [rat(1), rat(2), rat(3)]
 
+    def test_hash_agrees_with_windowed_equality(self):
+        a = TruncSeries("y", QQ, 1, [rat(1), rat(0)])
+        b = TruncSeries("y", QQ, 2, [rat(1), rat(0), rat(1)])
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
     def test_scale_var(self):
         s = TruncSeries("y", QQ, 2, [rat(1), rat(1), rat(1)])
         t = s.scale_var(rat(2))

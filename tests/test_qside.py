@@ -4,6 +4,7 @@ import pytest
 
 from triggaudin.rationals import QQ, rational
 from triggaudin.ratfun import FracField
+from triggaudin.rmatrices import r_quantum_scaled
 from triggaudin import qside
 
 
@@ -19,6 +20,18 @@ class TestExchange:
     def test_rll_two_sites(self):
         assert qside.rll_check(qrep22())
 
+    def test_rll_n3_two_sites(self):
+        assert qside.rll_check(qside.QRep(3, [rational(1, 2), rational(3)]))
+
+    def test_swapped_argument_fails(self):
+        # negative control: R(v/u) u in place of R(u/v) v breaks the relation
+        rep = qrep22()
+        q, u, v = qside.QUV.gens
+        wrong = r_quantum_scaled(rep.N, qside.QUV, q, v / u).scale(u)
+        assert not qside.exchange_difference(rep, wrong).is_zero()
+        right = r_quantum_scaled(rep.N, qside.QUV, q, u / v).scale(v)
+        assert qside.exchange_difference(rep, right).is_zero()
+
 
 class TestFusedElements:
     def test_antisym_k_above_n_rejected(self):
@@ -33,6 +46,13 @@ class TestFusedElements:
         rep = qrep22()
         assert qside.bethe_commut_check(rep, ("antisym", 1, False), ("newton", 2, False))
         assert qside.bethe_commut_check(rep, ("antisym", 2, True), ("newton", 1, True))
+
+    def test_untwisted_and_twisted_do_not_commute(self):
+        # negative control: the two families are commutative separately only
+        rep = qrep22()
+        assert not qside.bethe_commut_check(
+            rep, ("antisym", 1, False), ("antisym", 1, True)
+        )
 
     def test_top_antisym_element_is_central(self):
         # k = N antisymmetrized element commutes even across the twist

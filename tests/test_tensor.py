@@ -109,3 +109,14 @@ class TestKernels:
         a = {(0, 0): rational(1)}
         b = {(0, 0): rational(-1)}
         assert sparse_add(a, b) == {}
+
+
+class TestEquality:
+    def test_ring_is_compared(self):
+        from triggaudin.ratfun import FracField
+
+        Fu = FracField("u", QQ)
+        sp = Space(2, [aux_leg("a")])
+        assert AuxTensor.zero(sp, QQ) == AuxTensor.zero(sp, QQ)
+        assert AuxTensor.zero(sp, QQ) != AuxTensor.zero(sp, Fu)
+        assert len({AuxTensor.zero(sp, QQ), AuxTensor.zero(sp, Fu)}) == 2

@@ -78,3 +78,16 @@ class TestQDiffOp:
             shift,
         )
         assert lhs == rhs
+
+
+class TestEquality:
+    def test_diffop_compares_ring(self):
+        assert DiffOp.zero(SP, QQ) != DiffOp.zero(SP, F)
+        assert DiffOp.zero(SP, F) == DiffOp.zero(SP, F)
+
+    def test_qdiffop_compares_ring_and_shift(self):
+        shift = Qq.one / (Qq.gen * Qq.gen)
+        Fq = FracField("u", Qq)
+        assert QDiffOp.zero(SP, Qq, shift) != QDiffOp.zero(SP, Fq, shift)
+        assert QDiffOp.zero(SP, Fq, shift) != QDiffOp.zero(SP, Fq, Qq.gen)
+        assert QDiffOp.zero(SP, Fq, shift) == QDiffOp.zero(SP, Fq, shift)
