@@ -7,8 +7,7 @@ README for the layout and the ``triggaudin`` command-line entry point.
 """
 
 from .rationals import QQ, rational, parse_rational
-from .kernels import BACKEND
 
 __version__ = "0.1.0"
 
-__all__ = ["QQ", "rational", "parse_rational", "BACKEND", "__version__"]
+__all__ = ["QQ", "rational", "parse_rational", "__version__"]

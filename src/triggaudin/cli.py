@@ -13,7 +13,7 @@ import sys
 
 from . import gaudin
 from .rationals import parse_rational
-from .reports import build_report, report_bytes, scalar_str, write_json
+from .reports import report_bytes, scalar_str, write_json
 from .suites import SUITE_NAMES, run_suite
 
 

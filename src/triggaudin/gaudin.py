@@ -13,11 +13,14 @@ routes build the same differential operators theta_m:
 
 Both are generic over the coefficient ring through :class:`ThetaContext`
 so the symbolic mode-algebra layer can reuse them verbatim.
+
+:class:`Sites` holds the sites of a representation (N and the points);
+the q-side uses the same class with its own field :data:`qside.Qqu`.
 """
 
 from .rationals import QQ
 from .ratfun import FracField
-from .tensor import AuxTensor, Space, aux_leg, quantum_leg
+from .tensor import AuxTensor, Space, aux_leg, chain, quantum_leg
 from .weyl import DiffOp
 from .rmatrices import (
     diag_shift_rho,
@@ -29,10 +32,17 @@ from .rmatrices import (
 )
 
 
-class GaudinRep:
-    """An evaluation representation: N, sites, distinct nonzero points."""
+# the field of the classical side's coefficients
+Qu = FracField("u", QQ)
 
-    __slots__ = ("N", "points", "field")
+
+class Sites:
+    """An evaluation representation: N, sites, distinct nonzero points.
+
+    Site i is the quantum leg ``s<i>`` (1-based) at point ``points[i-1]``.
+    """
+
+    __slots__ = ("N", "points")
 
     def __init__(self, N, points):
         points = tuple(points)
@@ -46,7 +56,6 @@ class GaudinRep:
             raise ValueError("evaluation points must be pairwise distinct")
         self.N = N
         self.points = points
-        self.field = FracField("u", QQ)
 
     @property
     def l(self):
@@ -55,12 +64,19 @@ class GaudinRep:
     def site_names(self):
         return ["s%d" % (i + 1) for i in range(self.l)]
 
+    def space(self, aux=()):
+        """The auxiliary legs named in ``aux``, then the site legs."""
+        legs = [aux_leg(nm) for nm in aux]
+        return Space(self.N, legs + [quantum_leg(nm) for nm in self.site_names()])
+
     def quantum_space(self):
-        return Space(self.N, [quantum_leg(nm) for nm in self.site_names()])
+        return self.space()
 
     def current_space(self, aux="z0"):
-        legs = [aux_leg(aux)] + [quantum_leg(nm) for nm in self.site_names()]
-        return Space(self.N, legs)
+        return self.space([aux])
+
+
+GaudinRep = Sites
 
 
 def represent_current(rep, space=None, aux="z0"):
@@ -69,15 +85,13 @@ def represent_current(rep, space=None, aux="z0"):
     When ``space`` is given it must contain ``aux`` and all site legs;
     the result is embedded there (identity on any extra legs).
     """
-    F = rep.field
-    u = F.gen
+    u = Qu.gen
     if space is None:
         space = rep.current_space(aux)
-    out = AuxTensor.zero(space, F)
+    out = AuxTensor.zero(space, Qu)
     for i, a in enumerate(rep.points):
-        r = r_classical(rep.N, F, u.scale(QQ.one / a))
-        src = r.space.leg_names()
-        out = out + r.embed(space, {src[0]: aux, src[1]: "s%d" % (i + 1)})
+        r = r_classical(rep.N, Qu, u.scale(QQ.one / a))
+        out = out + r.place(space, aux, "s%d" % (i + 1))
     return out
 
 
@@ -122,13 +136,12 @@ class ThetaContext:
     is the ring element playing the role of u in 2u d/du.
     """
 
-    def __init__(self, N, ring, quantum_legs, current_factory, u_elt, diff_fn=None):
+    def __init__(self, N, ring, quantum_legs, current_factory, u_elt):
         self.N = N
         self.ring = ring
         self.quantum_legs = list(quantum_legs)
         self.current_factory = current_factory
         self.u_elt = u_elt
-        self.diff_fn = diff_fn
 
     def aux_names(self, m):
         return ["t%d" % a for a in range(1, m + 1)]
@@ -144,22 +157,19 @@ class ThetaContext:
         c0 = -self.current_factory(space, aux)
         if shifted:
             rho = diag_shift_rho(self.N, self.ring)
-            src = rho.space.leg_names()
-            c0 = c0 - rho.embed(space, {src[0]: aux})
-        return DiffOp(space, self.ring, {1: lead, 0: c0}, self.diff_fn)
+            c0 = c0 - rho.place(space, aux)
+        return DiffOp(space, self.ring, {1: lead, 0: c0})
 
     def _pair(self, builder, space, a):
         """``builder`` on auxiliary legs (t_a, t_{a+1}) of ``space``."""
-        t = builder(self.N, self.ring)
-        src = t.space.leg_names()
-        return t.embed(space, {src[0]: "t%d" % a, src[1]: "t%d" % (a + 1)})
+        return builder(self.N, self.ring).place(space, "t%d" % a, "t%d" % (a + 1))
 
     def theta_mbar(self, m, shifted=False):
         """theta_m through the right-multiplication recursion."""
         if m < 1:
             raise ValueError("m must be >= 1")
         space = self.space(m)
-        X = DiffOp.identity(space, self.ring, self.diff_fn)
+        X = DiffOp.identity(space, self.ring)
         for a in range(1, m):
             la = self.script_l(space, "t%d" % a, shifted)
             X = (X * la).premul(self._pair(permutation, space, a)) + X.premul(
@@ -180,33 +190,24 @@ class ThetaContext:
             for f in factors[1:]:
                 prod = prod * f
             for orders in _compositions(m - s, s - 1):
-                chain = AuxTensor.identity(space, self.ring)
                 # display order T_{s-1,s}(y) ... T_{12}(y), left to right
+                factors = []
                 for a in range(s - 1, 0, -1):
                     t = t_taylor(self.N, self.ring, orders[a - 1])
-                    src = t.space.leg_names()
-                    chain = chain * t.embed(
-                        space, {src[0]: "t%d" % a, src[1]: "t%d" % (a + 1)}
-                    )
-                term = prod.premul(chain).partial_trace(self.aux_names(s))
+                    factors.append((t, "t%d" % a, "t%d" % (a + 1)))
+                term = prod.premul(chain(space, self.ring, factors))
+                term = term.partial_trace(self.aux_names(s))
                 total = term if total is None else total + term
         return total
 
 
 def rep_context(rep):
     """ThetaContext for the evaluation representation."""
-    F = rep.field
 
     def factory(space, aux):
         return represent_current(rep, space=space, aux=aux)
 
-    return ThetaContext(
-        rep.N,
-        F,
-        [quantum_leg(nm) for nm in rep.site_names()],
-        factory,
-        F.gen,
-    )
+    return ThetaContext(rep.N, Qu, rep.quantum_space().legs, factory, Qu.gen)
 
 
 def theta_generating(rep, m, shifted=False):
@@ -226,7 +227,7 @@ def explicit_theta(rep, m, shifted=False):
     """
     if shifted or m > 3:
         raise ValueError("explicit forms cover unshifted m <= 3 only")
-    F = rep.field
+    F = Qu
     u = F.gen
     N = rep.N
     qspace = rep.quantum_space()
@@ -275,12 +276,12 @@ def explicit_theta(rep, m, shifted=False):
                 continue
             term = current_entry(Lfull, "z0", i, j) * current_entry(Lfull, "z0", j, i)
             tail = tail + term.scale(F.from_int(s))
-    return cube + DiffOp.from_tensor(tail)
+    return cube + DiffOp(qspace, F, {0: tail})
 
 
 def closing_series(rep):
     """tr L^3 - 2u tr(L L') + sum_{ij} sign(j-i) L_ij L_ji as one tensor."""
-    F = rep.field
+    F = Qu
     u = F.gen
     cspace = rep.current_space()
     L = represent_current(rep, space=cspace)
@@ -402,7 +403,7 @@ def quad_residue_check(rep):
     self-term contributes the central part, and the 1/(2u) weight
     removes it).  Both forms are checked.
     """
-    F = rep.field
+    F = Qu
     L = represent_current(rep)
     trL2 = (L * L).partial_trace(["z0"])
     qspace = rep.quantum_space()
@@ -420,8 +421,7 @@ def quad_residue_check(rep):
             if j == i:
                 continue
             r = r_classical(rep.N, QQ, ai / aj)
-            src = r.space.leg_names()
-            rhs = rhs + r.embed(qspace, {src[0]: sites[i], src[1]: sites[j]})
+            rhs = rhs + r.place(qspace, sites[i], sites[j])
         rhs = rhs.scale(QQ.from_int(2) * ai)
         central = AuxTensor.scalar(qspace, QQ, QQ.from_int(4 * rep.N) * ai)
         diff_norm = lhs - rhs

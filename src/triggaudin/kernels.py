@@ -1,23 +1,48 @@
-"""Kernel selection: compiled extension when available, else pure Python.
+"""Sparse kernels.
 
-``TRIGGAUDIN_PURE_PYTHON=1`` in the environment forces the fallback
-(used by the benchmark to compare both implementations).
+These are the hot inner loops of the whole package: sparse
+operator-times-operator products over exact coefficient rings.
 """
 
-import os
 
-if os.environ.get("TRIGGAUDIN_PURE_PYTHON") == "1":
-    from ._kernels_py import sparse_add, sparse_matmul
+def sparse_matmul(a, b):
+    """Multiply sparse matrices stored as {(row, col): value} dicts.
 
-    BACKEND = "python"
-else:
-    try:
-        from ._kernels_cy import sparse_add, sparse_matmul
+    Values may live in any exact ring (Fraction, RatFun, TruncSeries,
+    PBW elements); the only requirements are ``+``, ``*`` and
+    truthiness as a zero test.  Zero results are dropped.
+    """
+    by_row = {}
+    for (r, c), v in b.items():
+        if r in by_row:
+            by_row[r].append((c, v))
+        else:
+            by_row[r] = [(c, v)]
+    out = {}
+    for (r, c), v in a.items():
+        row = by_row.get(c)
+        if row is None:
+            continue
+        for c2, w in row:
+            key = (r, c2)
+            p = v * w
+            if key in out:
+                out[key] = out[key] + p
+            else:
+                out[key] = p
+    return {k: v for k, v in out.items() if v}
 
-        BACKEND = "cython"
-    except ImportError:
-        from ._kernels_py import sparse_add, sparse_matmul
 
-        BACKEND = "python"
-
-__all__ = ["sparse_matmul", "sparse_add", "BACKEND"]
+def sparse_add(a, b):
+    """Entrywise sum of two sparse dicts, dropping zeros."""
+    out = dict(a)
+    for k, v in b.items():
+        if k in out:
+            s = out[k] + v
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+        else:
+            out[k] = v
+    return out

@@ -300,7 +300,7 @@ def symbolic_context(N, u_order, m):
                     ring,
                     {(i - 1, j - 1): s},
                 )
-                emb = base.embed(space, {space.legs[p].name: aux})
+                emb = base.place(space, aux)
                 for key, v in emb.entries.items():
                     entries[key] = entries[key] + v if key in entries else v
         return AuxTensor(space, ring, entries, clean=True)
@@ -428,7 +428,7 @@ def evaluation_map(points):
                         QQ,
                         {(j - 1, i - 1): -(QQ.one / a ** (-n))},
                     )
-                    img = img + single.embed(space, {"s%d" % (s + 1): "s%d" % (s + 1)})
+                    img = img + single.place(space, "s%d" % (s + 1))
                 term = term * img
             if not dead:
                 acc = acc + term

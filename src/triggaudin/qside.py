@@ -1,6 +1,7 @@
 """q-deformed verification layer over the symbolic field Q(q).
 
-Everything here lives in R-matrix evaluation representations: the
+Everything here lives in R-matrix evaluation representations, given by
+the same :class:`~triggaudin.gaudin.Sites` as the classical side: the
 current L+(u) is a product of quantum R-matrices, the exchange relation
 R L1 L2 = L2 L1 R then holds by the Yang-Baxter equation, and the
 traced fused products give commuting transfer-matrix-like elements.
@@ -15,7 +16,7 @@ a subring of Q(q)(u)(v), so a difference vanishes there exactly when it
 vanishes in the rational-function tower.  The traced products
 (``mcal``, ``mcal_collapsed``), the classical limit and the central
 term divide by (q - 1)^m and by the R-matrix denominators, and stay in
-the Q(q)(u) tower.
+the Q(q)(u) tower :data:`Qqu`.
 
 Convention note: the eps^1 coefficient of L+(u) differs from the
 classical current sum_i r_{0i}(u/a_i) by the central scalar series
@@ -30,11 +31,12 @@ from .laurent import LaurentRing
 from .rationals import QQ
 from .ratfun import FracField, RatFun
 from .series import SeriesRing, TruncSeries
-from .tensor import AuxTensor, Space, aux_leg, quantum_leg
+from .tensor import AuxTensor, Space, aux_leg, chain
 from .weyl import QDiffOp
-from .gaudin import ThetaContext
+from .gaudin import Qu, Sites, ThetaContext
 from .rmatrices import (
     Qq,
+    adjacent_q_chain,
     antisymmetrizer,
     diag_shift_d,
     f_series,
@@ -48,6 +50,11 @@ from .rmatrices import (
 # commutators): every entry there is a Laurent polynomial in q, u, v.
 QUV = LaurentRing(("q", "u", "v"))
 
+# the field of the traced products' coefficients: Q(q)(u)
+Qqu = FracField("u", Qq)
+
+QRep = Sites
+
 
 def embed_rational(ring, a):
     """Lift an exact rational number into any ring descriptor."""
@@ -56,44 +63,10 @@ def embed_rational(ring, a):
     return num / den
 
 
-class QRep:
-    """R-matrix evaluation representation data over Q(q)."""
-
-    __slots__ = ("N", "points", "ufield")
-
-    def __init__(self, N, points):
-        points = tuple(points)
-        if N < 1:
-            raise ValueError("N must be >= 1")
-        if not points:
-            raise ValueError("need at least one site")
-        if any(not a for a in points):
-            raise ValueError("evaluation points must be nonzero")
-        if len(set(points)) != len(points):
-            raise ValueError("evaluation points must be pairwise distinct")
-        self.N = N
-        self.points = points
-        self.ufield = FracField("u", Qq)
-
-    @property
-    def l(self):
-        return len(self.points)
-
-    def site_names(self):
-        return ["s%d" % (i + 1) for i in range(self.l)]
-
-    def quantum_space(self):
-        return Space(self.N, [quantum_leg(nm) for nm in self.site_names()])
-
-    def current_space(self, aux="z0"):
-        legs = [aux_leg(aux)] + [quantum_leg(nm) for nm in self.site_names()]
-        return Space(self.N, legs)
-
-
 def qrep_current(rep, ring=None, q=None, u=None, space=None, aux="z0", cleared=False):
     """L+(u) = R_{01}(u/a_1) R_{02}(u/a_2) ... R_{0l}(u/a_l).
 
-    ``ring``, ``q`` and ``u`` default to Q(q)(u) with its generators;
+    ``ring``, ``q`` and ``u`` default to :data:`Qqu` with its generators;
     passing them explicitly supports towers (bivariate u, v checks) and
     shifted arguments like u q^{-2a+2}.  ``cleared`` multiplies each
     factor by its scalar denominator (q - x/q), giving polynomial
@@ -101,19 +74,17 @@ def qrep_current(rep, ring=None, q=None, u=None, space=None, aux="z0", cleared=F
     this central rescaling.
     """
     if ring is None:
-        ring = rep.ufield
+        ring = Qqu
         q = ring.embed(Qq.gen)
         u = ring.gen
     if space is None:
         space = rep.current_space(aux)
     builder = r_quantum_scaled if cleared else r_quantum
-    out = AuxTensor.identity(space, ring)
-    for i, a in enumerate(rep.points):
-        x = u / embed_rational(ring, a)
-        R = builder(rep.N, ring, q, x)
-        src = R.space.leg_names()
-        out = out * R.embed(space, {src[0]: aux, src[1]: "s%d" % (i + 1)})
-    return out
+    factors = [
+        (builder(rep.N, ring, q, u / embed_rational(ring, a)), aux, "s%d" % (i + 1))
+        for i, a in enumerate(rep.points)
+    ]
+    return chain(space, ring, factors)
 
 
 def exchange_difference(rep, R):
@@ -125,14 +96,10 @@ def exchange_difference(rep, R):
     polynomial.
     """
     q, u, v = QUV.gens
-    legs = [aux_leg("b1"), aux_leg("b2")] + [
-        quantum_leg(nm) for nm in rep.site_names()
-    ]
-    space = Space(rep.N, legs)
+    space = rep.space(["b1", "b2"])
     L1 = qrep_current(rep, ring=QUV, q=q, u=u, space=space, aux="b1", cleared=True)
     L2 = qrep_current(rep, ring=QUV, q=q, u=v, space=space, aux="b2", cleared=True)
-    src = R.space.leg_names()
-    R12 = R.embed(space, {src[0]: "b1", src[1]: "b2"})
+    R12 = R.place(space, "b1", "b2")
     return R12 * L1 * L2 - L2 * L1 * R12
 
 
@@ -149,22 +116,13 @@ def rll_check(rep):
     return exchange_difference(rep, R).is_zero()
 
 
-def _pq_cycle_chain(space, ring, q, names):
-    """P^q_{(k,...,1)} = P^q_{k-1,k} ... P^q_{1,2} on the listed legs."""
-    out = AuxTensor.identity(space, ring)
-    pq = q_permutation(space.N, ring, q)
-    src = pq.space.leg_names()
-    for a in range(len(names) - 1, 0, -1):
-        out = out * pq.embed(space, {src[0]: names[a - 1], src[1]: names[a]})
-    return out
-
-
 def bethe(rep, kind, k, with_D=False, ring=None, q=None, u=None, cleared=False):
     """Traced fused product of k shifted currents behind a projector.
 
     kind "antisym" uses the normalized q-antisymmetrizer A^(k) (k <= N);
-    kind "newton" uses the full-cycle q-permutation.  ``with_D`` inserts
-    the diagonal shift D on every fused leg before tracing.
+    kind "newton" uses the full-cycle q-permutation
+    P^q_{(k,...,1)} = P^q_{k-1,k} ... P^q_{1,2}.  ``with_D`` inserts the
+    diagonal shift D on every fused leg before tracing.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -173,21 +131,15 @@ def bethe(rep, kind, k, with_D=False, ring=None, q=None, u=None, cleared=False):
     if kind == "antisym" and k > rep.N:
         raise ValueError("antisymmetrizer is computed only for k <= N")
     if ring is None:
-        ring = rep.ufield
+        ring = Qqu
         q = ring.embed(Qq.gen)
         u = ring.gen
     bnames = ["b%d" % a for a in range(1, k + 1)]
-    legs = [aux_leg(nm) for nm in bnames] + [
-        quantum_leg(nm) for nm in rep.site_names()
-    ]
-    space = Space(rep.N, legs)
+    space = rep.space(bnames)
     if kind == "antisym":
-        proj = antisymmetrizer(k, rep.N, ring, q)
-        psrc = proj.space.leg_names()
-        proj = proj.embed(space, dict(zip(psrc, bnames)))
+        acc = antisymmetrizer(k, rep.N, ring, q).place(space, *bnames)
     else:
-        proj = _pq_cycle_chain(space, ring, q, bnames)
-    acc = proj
+        acc = adjacent_q_chain(space, ring, q, range(k - 1, 0, -1))
     for a in range(1, k + 1):
         ua = u * q ** (2 - 2 * a)
         acc = acc * qrep_current(
@@ -195,9 +147,8 @@ def bethe(rep, kind, k, with_D=False, ring=None, q=None, u=None, cleared=False):
         )
     if with_D:
         D = diag_shift_d(rep.N, ring, q)
-        dsrc = D.space.leg_names()
         for nm in bnames:
-            acc = acc * D.embed(space, {dsrc[0]: nm})
+            acc = acc * D.place(space, nm)
     return acc.partial_trace(bnames)
 
 
@@ -224,32 +175,26 @@ def mcal(rep, m, with_D=False):
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    Fu = rep.ufield
+    Fu = Qqu
     q = Fu.embed(Qq.gen)
     u = Fu.gen
     shift = Qq.one / (Qq.gen * Qq.gen)
     tnames = ["t%d" % a for a in range(1, m + 1)]
-    legs = [aux_leg(nm) for nm in tnames] + [
-        quantum_leg(nm) for nm in rep.site_names()
-    ]
-    space = Space(rep.N, legs)
+    space = rep.space(tnames)
 
     def m_factor(a):
         La = qrep_current(rep, ring=Fu, q=q, u=u, space=space, aux=tnames[a - 1])
         if with_D:
-            D = diag_shift_d(rep.N, Fu, q)
-            dsrc = D.space.leg_names()
-            La = La * D.embed(space, {dsrc[0]: tnames[a - 1]})
+            La = La * diag_shift_d(rep.N, Fu, q).place(space, tnames[a - 1])
         return QDiffOp(space, Fu, {1: La}, shift)
 
     pq = q_permutation(rep.N, Fu, q)
     pp = permutation(rep.N, Fu)
-    psrc = pq.space.leg_names()
     X = QDiffOp.identity(space, Fu, shift)
     for a in range(1, m):
-        pair = {psrc[0]: tnames[a - 1], psrc[1]: tnames[a]}
-        X = X.premul(pp.embed(space, pair)) - (X * m_factor(a)).premul(
-            pq.embed(space, pair)
+        legs = (tnames[a - 1], tnames[a])
+        X = X.premul(pp.place(space, *legs)) - (X * m_factor(a)).premul(
+            pq.place(space, *legs)
         )
     X = X - X * m_factor(m)
     pref = Fu.one / (q - Fu.one) ** m
@@ -262,9 +207,8 @@ def mcal_collapsed(rep, m, with_D=False):
     (q-1)^{-m} sum_k (-1)^k C(m,k) tr_{1..k} Pq-cycle
     L1(u)...Lk(uq^{-2k+2}) [D's] delta^k.
     """
-    Fu = rep.ufield
+    Fu = Qqu
     q = Fu.embed(Qq.gen)
-    u = Fu.gen
     shift = Qq.one / (Qq.gen * Qq.gen)
     qspace = rep.quantum_space()
     total = QDiffOp.zero(qspace, Fu, shift)
@@ -274,23 +218,7 @@ def mcal_collapsed(rep, m, with_D=False):
             # trace is N rather than 1
             term = AuxTensor.scalar(qspace, Fu, Fu.from_int(rep.N))
         else:
-            bnames = ["b%d" % a for a in range(1, k + 1)]
-            legs = [aux_leg(nm) for nm in bnames] + [
-                quantum_leg(nm) for nm in rep.site_names()
-            ]
-            space = Space(rep.N, legs)
-            acc = _pq_cycle_chain(space, Fu, q, bnames)
-            for a in range(1, k + 1):
-                ua = u * q ** (2 - 2 * a)
-                acc = acc * qrep_current(
-                    rep, ring=Fu, q=q, u=ua, space=space, aux=bnames[a - 1]
-                )
-            if with_D:
-                D = diag_shift_d(rep.N, Fu, q)
-                dsrc = D.space.leg_names()
-                for nm in bnames:
-                    acc = acc * D.embed(space, {dsrc[0]: nm})
-            term = acc.partial_trace(bnames)
+            term = bethe(rep, "newton", k, with_D)
         c = Fu.from_int((-1) ** k * comb(m, k))
         total = total + QDiffOp(qspace, Fu, {k: term.scale(c)}, shift)
     pref = Fu.one / (q - Fu.one) ** m
@@ -320,22 +248,18 @@ def trace_identity_pi(m, subset, N, numeric_q=None):
     space = Space(N, [aux_leg(nm) for nm in names])
     pq = q_permutation(N, ring, q)
     pp = permutation(N, ring)
-    src = pq.space.leg_names()
-    chain = AuxTensor.identity(space, ring)
     inset = set(subset)
-    for a in range(m - 1, 0, -1):
-        f = pq if a in inset else pp
-        chain = chain * f.embed(space, {src[0]: names[a - 1], src[1]: names[a]})
+    factors = [
+        (pq if a in inset else pp, names[a - 1], names[a]) for a in range(m - 1, 0, -1)
+    ]
+    sandwich = chain(space, ring, factors)
     if not subset:
-        return chain.trace() == ring.from_int(N)
+        return sandwich.trace() == ring.from_int(N)
     complement = [nm for i, nm in enumerate(names, start=1) if i not in inset]
-    traced = chain.partial_trace(complement)
-    rhs = AuxTensor.identity(traced.space, ring)
-    for t in range(len(subset) - 1, 0, -1):
-        rhs = rhs * pq.embed(
-            traced.space,
-            {src[0]: "t%d" % subset[t - 1], src[1]: "t%d" % subset[t]},
-        )
+    traced = sandwich.partial_trace(complement)
+    legs = ["t%d" % a for a in subset]
+    steps = range(len(subset) - 1, 0, -1)
+    rhs = chain(traced.space, ring, [(pq, legs[t - 1], legs[t]) for t in steps])
     return (traced - rhs).is_zero()
 
 
@@ -343,14 +267,14 @@ def trace_identity_pi(m, subset, N, numeric_q=None):
 # eps = q - 1 expansions
 
 
-def eps_expand(f, order, target=None):
+def eps_expand(f, order):
     """Expand a rational function of u over Q(q) around q = 1.
 
     Returns a truncated series in eps whose coefficients are rational
-    functions of u over Q.  The input must be regular at q = 1.
+    functions of u over Q (in :data:`~triggaudin.gaudin.Qu`).  The input
+    must be regular at q = 1.
     """
-    if target is None:
-        target = FracField("u", QQ)
+    target = Qu
     from .poly import UniPoly
 
     num_rows = [c.expand_at(QQ.one, 0, order) for c in f.num.coeffs]
@@ -430,12 +354,10 @@ def delta_power_in_derivatives(k, order, target):
     return out
 
 
-def classical_limit_current(rep, target=None):
+def classical_limit_current(rep):
     """The eps^1 coefficient of L+(u), on one auxiliary plus site legs."""
-    if target is None:
-        target = FracField("u", QQ)
     Lq = qrep_current(rep)
-    return Lq.map_entries(lambda f: eps_expand(f, 1, target).coefficient(1), ring=target)
+    return Lq.map_entries(lambda f: eps_expand(f, 1).coefficient(1), ring=Qu)
 
 
 def classical_limit_compare(rep, m, with_D=False, route="collapsed"):
@@ -453,17 +375,16 @@ def classical_limit_compare(rep, m, with_D=False, route="collapsed"):
     """
     if route not in ("collapsed", "recursion"):
         raise ValueError("unknown route %r" % route)
-    target = FracField("u", QQ)
-    Fu = rep.ufield
-    q = Fu.embed(Qq.gen)
-    pref = (q - Fu.one) ** m
+    target = Qu
+    q = Qqu.embed(Qq.gen)
+    pref = (q - Qqu.one) ** m
     T = (mcal if route == "recursion" else mcal_collapsed)(rep, m, with_D)
     sring = SeriesRing("eps", target, m)
     lhs = {}
     qspace = rep.quantum_space()
     for k in sorted(T.coeffs):
         tensor = T.coeffs[k].map_entries(
-            lambda f: eps_expand(f * pref, m, target), ring=sring
+            lambda f: eps_expand(f * pref, m), ring=sring
         )
         for i, coeff in delta_power_in_derivatives(k, m, target).items():
             contrib = tensor.map_entries(lambda s: s * coeff)
@@ -474,22 +395,12 @@ def classical_limit_compare(rep, m, with_D=False, route="collapsed"):
     }
     lhs_m = {i: t for i, t in lhs_m.items() if not t.is_zero()}
 
-    Lc = classical_limit_current(rep, target)
+    Lc = classical_limit_current(rep)
 
     def factory(space, aux):
-        src = Lc.space.leg_names()
-        assignment = {src[0]: aux}
-        for nm in rep.site_names():
-            assignment[nm] = nm
-        return Lc.embed(space, assignment)
+        return Lc.place(space, aux, *rep.site_names())
 
-    ctx = ThetaContext(
-        rep.N,
-        target,
-        [quantum_leg(nm) for nm in rep.site_names()],
-        factory,
-        target.gen,
-    )
+    ctx = ThetaContext(rep.N, target, qspace.legs, factory, target.gen)
     rhs = ctx.theta_mbar(m, shifted=with_D)
     keys = sorted(set(lhs_m) | set(rhs.coeffs))
     mismatches = []

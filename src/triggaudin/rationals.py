@@ -1,23 +1,12 @@
 """Exact rational scalars and the base field Q.
 
 Every number in this package is an exact rational; there is no floating
-point anywhere.  The scalar type is ``fractions.Fraction`` (swapped for
-``gmpy2.mpq`` when available, which is drop-in compatible and much
-faster for big numerators).
+point anywhere.  The scalar type is ``fractions.Fraction``.
 """
 
 from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as _mpq
-
-    def rational(num, den=1):
-        return _mpq(num, den)
-
-except ImportError:  # pragma: no cover - gmpy2 is normally present
-
-    def rational(num, den=1):
-        return Fraction(num, den)
+rational = Fraction
 
 
 def parse_rational(text):

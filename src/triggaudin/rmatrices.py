@@ -8,10 +8,17 @@ conventions are 1-based with sign(0) = 0.
 
 import itertools
 
-from .ratfun import FracField, PoleError, RatFun
+from .ratfun import FracField, PoleError
 from .rationals import QQ
 from .series import TruncSeries
-from .tensor import AuxTensor, Space, aux_leg, single_leg_matrix, two_leg_tensor
+from .tensor import (
+    AuxTensor,
+    Space,
+    aux_leg,
+    chain,
+    single_leg_matrix,
+    two_leg_tensor,
+)
 
 # the scalar tower used throughout the q-side
 Qq = FracField("q", QQ)
@@ -228,25 +235,15 @@ def perm_sign(one_line):
     return -1 if len(word) % 2 else 1
 
 
-def cycle_one_line(k):
-    """One-line notation of the cycle (k, k-1, ..., 1): i -> i-1, 1 -> k."""
-    return tuple([k] + list(range(1, k)))
-
-
 def adjacent_q_chain(space, ring, q, positions):
     """Product P^q_{a_1 a_1+1} ... P^q_{a_l a_l+1} on leg positions a_i.
 
     Positions are 1-based into the legs of ``space``; factors multiply
     left to right in the order given.
     """
-    out = AuxTensor.identity(space, ring)
     names = space.leg_names()
     pq = q_permutation(space.N, ring, q)
-    src = pq.space.leg_names()
-    for a in positions:
-        emb = pq.embed(space, {src[0]: names[a - 1], src[1]: names[a]})
-        out = out * emb
-    return out
+    return chain(space, ring, [(pq, names[a - 1], names[a]) for a in positions])
 
 
 def perm_q(one_line, N, ring, q, space=None):
@@ -283,30 +280,19 @@ def plain_cycle_chain(space, ring, indices):
     ``indices`` is the tuple (c_k, ..., c_1) of 1-based leg positions;
     a run of length < 2 gives the identity.
     """
-    seq = list(reversed(indices))  # c_1, c_2, ..., c_k
-    out = AuxTensor.identity(space, ring)
-    names = space.leg_names()
-    p = permutation(space.N, ring)
-    src = p.space.leg_names()
-    for t in range(len(seq) - 1, 0, -1):
-        a, b = seq[t - 1], seq[t]
-        emb = p.embed(space, {src[0]: names[a - 1], src[1]: names[b - 1]})
-        out = out * emb
-    return out
+    return _cycle_chain(space, ring, permutation(space.N, ring), indices)
 
 
 def tc_cycle_chain(space, ring, indices):
     """Tc_{(c_k, ..., c_1)} = Tc_{c_{k-1} c_k} ... Tc_{c_1 c_2}."""
-    seq = list(reversed(indices))
-    out = AuxTensor.identity(space, ring)
+    return _cycle_chain(space, ring, tc(space.N, ring), indices)
+
+
+def _cycle_chain(space, ring, t, indices):
+    """t_{c_{k-1} c_k} ... t_{c_1 c_2} for indices (c_k, ..., c_1)."""
     names = space.leg_names()
-    t = tc(space.N, ring)
-    src = t.space.leg_names()
-    for i in range(len(seq) - 1, 0, -1):
-        a, b = seq[i - 1], seq[i]
-        emb = t.embed(space, {src[0]: names[a - 1], src[1]: names[b - 1]})
-        out = out * emb
-    return out
+    pairs = zip(indices, indices[1:])
+    return chain(space, ring, [(t, names[b - 1], names[a - 1]) for a, b in pairs])
 
 
 def f_series(N, order, base=None):

@@ -15,7 +15,6 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import gaudin, pbw, qside
 from .rationals import QQ, parse_rational
-from .ratfun import FracField
 from .reports import build_report, error_record, record, tensor_triplets
 from .rmatrices import (
     Qq,
@@ -59,9 +58,20 @@ def _triple_space(N):
     return Space(N, [aux_leg("a1"), aux_leg("a2"), aux_leg("a3")])
 
 
-def _embed_pair(t, space, a, b):
-    src = t.space.leg_names()
-    return t.embed(space, {src[0]: "a%d" % a, src[1]: "a%d" % b})
+def _repr_triplets(entries):
+    """[[row, col, repr(value)], ...]: failure witnesses keep full values."""
+    return [[r, c, repr(v)] for (r, c), v in entries]
+
+
+def _same_operator(a, b):
+    """(ok, witness) for a == b; the witness maps each degree of a - b to
+    the entries of its coefficient."""
+    diff = a - b
+    if diff.is_zero():
+        return True, None
+    return False, {
+        str(k): _repr_triplets(t.sorted_entries()) for k, t in diff.coeffs.items()
+    }
 
 
 # -- r-matrix axiom tasks ----------------------------------------------
@@ -77,9 +87,9 @@ def task_classical_ybe(N, count):
         y = _rand_rational(rng, (QQ.one,))
         if x * y == QQ.one:
             y = y + QQ.one
-        r12 = _embed_pair(r_classical(N, QQ, x), space, 1, 2)
-        r13 = _embed_pair(r_classical(N, QQ, x * y), space, 1, 3)
-        r23 = _embed_pair(r_classical(N, QQ, y), space, 2, 3)
+        r12 = r_classical(N, QQ, x).place(space, "a1", "a2")
+        r13 = r_classical(N, QQ, x * y).place(space, "a1", "a3")
+        r23 = r_classical(N, QQ, y).place(space, "a2", "a3")
         lhs = r12.commutator(r13) + r12.commutator(r23) + r13.commutator(r23)
         if not lhs.is_zero():
             bad.append({"x": str(x), "y": str(y), "diff": tensor_triplets(lhs)})
@@ -93,8 +103,8 @@ def task_skew_symmetry(N, count):
     bad = []
     for t in range(count):
         x = _rand_rational(rng, (QQ.one, -QQ.one))
-        r12 = _embed_pair(r_classical(N, QQ, x), space, 1, 2)
-        r21 = _embed_pair(r_classical(N, QQ, QQ.one / x), space, 2, 1)
+        r12 = r_classical(N, QQ, x).place(space, "a1", "a2")
+        r21 = r_classical(N, QQ, QQ.one / x).place(space, "a2", "a1")
         s = r12 + r21
         if not s.is_zero():
             bad.append({"x": str(x), "diff": tensor_triplets(s)})
@@ -114,9 +124,9 @@ def task_quantum_ybe(N, count):
     for t in range(count):
         x = Qq.embed(_rand_rational(rng, ()))
         y = Qq.embed(_rand_rational(rng, ()))
-        R12 = _embed_pair(r_quantum_scaled(N, Qq, q, x), space, 1, 2)
-        R13 = _embed_pair(r_quantum_scaled(N, Qq, q, x * y), space, 1, 3)
-        R23 = _embed_pair(r_quantum_scaled(N, Qq, q, y), space, 2, 3)
+        R12 = r_quantum_scaled(N, Qq, q, x).place(space, "a1", "a2")
+        R13 = r_quantum_scaled(N, Qq, q, x * y).place(space, "a1", "a3")
+        R23 = r_quantum_scaled(N, Qq, q, y).place(space, "a2", "a3")
         diff = R12 * R13 * R23 - R23 * R13 * R12
         if not diff.is_zero():
             bad.append({"x": repr(x), "y": repr(y)})
@@ -132,9 +142,7 @@ def task_trace_cycle(N, k):
     space = Space(N, [aux_leg("t%d" % i) for i in range(1, k + 1)])
     chain = tc_cycle_chain(space, QQ, tuple(range(k, 0, -1)))
     traced = chain.partial_trace(["t%d" % i for i in range(2, k)])
-    tgt = (tc_bar if k % 2 else tc)(N, QQ)
-    src = tgt.space.leg_names()
-    tgt = tgt.embed(traced.space, {src[0]: "t1", src[1]: "t%d" % k})
+    tgt = (tc_bar if k % 2 else tc)(N, QQ).place(traced.space, "t1", "t%d" % k)
     diff = traced - tgt
     return diff.is_zero(), tensor_triplets(diff) or None
 
@@ -153,13 +161,11 @@ def task_trace_one_leg(N):
 def task_trace_mixed(N):
     """tr_2 T_{23} P_{12} = T_{13} for the skew tensor and the flip."""
     space = _triple_space(N)
-    P12 = _embed_pair(permutation(N, QQ), space, 1, 2)
+    P12 = permutation(N, QQ).place(space, "a1", "a2")
     for build in (tc, tc_bar):
-        t23 = _embed_pair(build(N, QQ), space, 2, 3)
+        t23 = build(N, QQ).place(space, "a2", "a3")
         lhs = (t23 * P12).partial_trace(["a2"])
-        t13 = build(N, QQ)
-        src = t13.space.leg_names()
-        rhs = t13.embed(lhs.space, {src[0]: "a1", src[1]: "a3"})
+        rhs = build(N, QQ).place(lhs.space, "a1", "a3")
         diff = lhs - rhs
         if not diff.is_zero():
             return False, tensor_triplets(diff)
@@ -181,30 +187,16 @@ def task_trpi(N, m):
 
 def task_theta_routes(N, points, m, shifted):
     rep = gaudin.GaudinRep(N, _points(points))
-    a = gaudin.theta_generating(rep, m, shifted)
-    b = gaudin.theta_mbar(rep, m, shifted)
-    diff = a - b
-    if diff.is_zero():
-        return True, None
-    witness = {
-        str(k): [[r, c, repr(v)] for (r, c), v in t.sorted_entries()]
-        for k, t in diff.coeffs.items()
-    }
-    return False, witness
+    return _same_operator(
+        gaudin.theta_generating(rep, m, shifted), gaudin.theta_mbar(rep, m, shifted)
+    )
 
 
 def task_theta_explicit(N, points, m):
     rep = gaudin.GaudinRep(N, _points(points))
-    a = gaudin.theta_generating(rep, m)
-    b = gaudin.explicit_theta(rep, m)
-    diff = a - b
-    if diff.is_zero():
-        return True, None
-    witness = {
-        str(k): [[r, c, repr(v)] for (r, c), v in t.sorted_entries()]
-        for k, t in diff.coeffs.items()
-    }
-    return False, witness
+    return _same_operator(
+        gaudin.theta_generating(rep, m), gaudin.explicit_theta(rep, m)
+    )
 
 
 def task_commutativity(N, points, m_max, shifted):
@@ -281,16 +273,9 @@ def task_bethe_family(N, points, with_D, k_max):
 
 def task_mcal_oracle(N, points, m, with_D):
     rep = qside.QRep(N, _points(points))
-    a = qside.mcal(rep, m, with_D)
-    b = qside.mcal_collapsed(rep, m, with_D)
-    diff = a - b
-    if diff.is_zero():
-        return True, None
-    witness = {
-        str(k): [[r, c, repr(v)] for (r, c), v in t.sorted_entries()]
-        for k, t in diff.coeffs.items()
-    }
-    return False, witness
+    return _same_operator(
+        qside.mcal(rep, m, with_D), qside.mcal_collapsed(rep, m, with_D)
+    )
 
 
 def task_qlimit(N, points, m, with_D):
@@ -299,7 +284,7 @@ def task_qlimit(N, points, m, with_D):
     if result["pass"]:
         return True, None
     bad = [
-        {"degree": i, "diff": [[r, c, repr(v)] for (r, c), v in entries]}
+        {"degree": i, "diff": _repr_triplets(entries)}
         for i, entries in result["mismatches"]
     ]
     return False, bad

@@ -70,12 +70,6 @@ class Space:
     def leg_names(self):
         return [leg.name for leg in self.legs]
 
-    def aux_names(self):
-        return [leg.name for leg in self.legs if not leg.quantum]
-
-    def quantum_names(self):
-        return [leg.name for leg in self.legs if leg.quantum]
-
     def encode(self, idx):
         """Pack per-leg indices (0-based) into a flat index."""
         out = 0
@@ -243,6 +237,11 @@ class AuxTensor:
                 out[(base_r + pad, base_c + pad)] = v
         return AuxTensor(target, self.ring, out)
 
+    def place(self, target, *legs):
+        """Embed into ``target`` with this tensor's i-th leg on ``legs[i]``."""
+        names = self.space.leg_names()
+        return self.embed(target, dict(zip(names, legs, strict=True)))
+
     def partial_trace(self, names):
         """Trace out the named auxiliary legs.
 
@@ -289,22 +288,24 @@ class AuxTensor:
                 acc = acc + v
         return acc
 
-    def transpose_on(self, name):
-        """Transpose indices on one leg (used for oracle checks)."""
-        p = self.space.position(name)
-        out = {}
-        for (r, c), v in self.entries.items():
-            ridx = list(self.space.decode(r))
-            cidx = list(self.space.decode(c))
-            ridx[p], cidx[p] = cidx[p], ridx[p]
-            out[(self.space.encode(ridx), self.space.encode(cidx))] = v
-        return AuxTensor(self.space, self.ring, out)
-
     def sorted_entries(self):
         return sorted(self.entries.items())
 
     def __repr__(self):
         return "AuxTensor(%r, nnz=%d)" % (self.space, len(self.entries))
+
+
+def chain(space, ring, factors):
+    """The product of two-leg tensors on leg pairs of ``space``.
+
+    ``factors`` lists ``(tensor, leg_a, leg_b)`` triples; each tensor is
+    placed on its two legs and the factors multiply left to right in the
+    order given.  No factors gives the identity.
+    """
+    out = AuxTensor.identity(space, ring)
+    for t, a, b in factors:
+        out = out * t.place(space, a, b)
+    return out
 
 
 def single_leg_matrix(N, ring, coeff_fn, leg=None):

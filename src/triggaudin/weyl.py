@@ -1,8 +1,10 @@
 """Operator-valued differential and q-difference operators.
 
-:class:`DiffOp` is a polynomial in d/du with coefficients that are
-sparse tensors whose entries depend on u; the product uses the Weyl
-rule d/du . g(u) = g(u) . d/du + g'(u).  :class:`QDiffOp` is a
+Both are polynomials in one operator with coefficients that are sparse
+tensors whose entries depend on u, coefficients standing to the left.
+They share everything but the commutation rule, which each subclass
+gives as its ``__mul__``: :class:`DiffOp` is a polynomial in d/du with
+the Weyl rule d/du . g(u) = g(u) . d/du + g'(u); :class:`QDiffOp` is a
 polynomial in the shift delta with the substitution rule
 delta . g(u) = g(u/q^2) . delta.  The two never mix: the classical and
 q regimes are separate types on purpose.
@@ -13,35 +15,41 @@ from math import comb
 from .tensor import AuxTensor
 
 
-def _default_diff(entry):
-    return entry.derivative()
+class OperatorPolynomial:
+    """Finite map from operator degree to tensor-valued coefficients.
 
+    Subclasses that carry more constructor arguments than
+    ``(space, ring, coeffs)`` return them from :meth:`_params`; they
+    take part in equality and in the compatibility check.
+    """
 
-class DiffOp:
-    """Finite map from d/du-degree to tensor-valued coefficients."""
+    __slots__ = ("space", "ring", "coeffs")
 
-    __slots__ = ("space", "ring", "coeffs", "diff_fn")
-
-    def __init__(self, space, ring, coeffs, diff_fn=None):
+    def __init__(self, space, ring, coeffs):
+        if any(k < 0 for k in coeffs):
+            raise ValueError("operator degrees must be >= 0: %r" % sorted(coeffs))
         self.space = space
         self.ring = ring
         self.coeffs = {k: t for k, t in coeffs.items() if not t.is_zero()}
-        self.diff_fn = diff_fn if diff_fn is not None else _default_diff
+
+    def _params(self):
+        return ()
+
+    def _new(self, coeffs, space=None):
+        """An operator of the same type and parameters."""
+        space = self.space if space is None else space
+        return type(self)(space, self.ring, coeffs, *self._params())
 
     @classmethod
-    def zero(cls, space, ring, diff_fn=None):
-        return cls(space, ring, {}, diff_fn)
+    def zero(cls, space, ring, *params):
+        return cls(space, ring, {}, *params)
 
     @classmethod
-    def identity(cls, space, ring, diff_fn=None):
-        return cls(space, ring, {0: AuxTensor.identity(space, ring)}, diff_fn)
-
-    @classmethod
-    def from_tensor(cls, t, degree=0, diff_fn=None):
-        return cls(t.space, t.ring, {degree: t}, diff_fn)
+    def identity(cls, space, ring, *params):
+        return cls(space, ring, {0: AuxTensor.identity(space, ring)}, *params)
 
     def coefficient(self, k):
-        """The coefficient of d^k (zero tensor when absent)."""
+        """The coefficient of degree k (zero tensor when absent)."""
         if k in self.coeffs:
             return self.coeffs[k]
         return AuxTensor.zero(self.space, self.ring)
@@ -54,14 +62,17 @@ class DiffOp:
 
     def _check(self, other):
         if self.space != other.space or self.ring != other.ring:
-            raise ValueError("differential-operator field mismatch")
+            raise ValueError("operator field mismatch")
+        if self._params() != other._params():
+            raise ValueError("operator parameter mismatch")
 
     def __eq__(self, other):
-        if not isinstance(other, DiffOp):
+        if type(other) is not type(self):
             return NotImplemented
         return (
             self.space == other.space
             and self.ring == other.ring
+            and self._params() == other._params()
             and self.coeffs == other.coeffs
         )
 
@@ -70,26 +81,34 @@ class DiffOp:
         out = dict(self.coeffs)
         for k, t in other.coeffs.items():
             out[k] = out[k] + t if k in out else t
-        return DiffOp(self.space, self.ring, out, self.diff_fn)
+        return self._new(out)
 
     def __neg__(self):
-        return DiffOp(
-            self.space,
-            self.ring,
-            {k: -t for k, t in self.coeffs.items()},
-            self.diff_fn,
-        )
+        return self._new({k: -t for k, t in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
-    def _derivatives(self, t, n):
-        """t, t', ..., t^(n) with the entrywise derivative."""
-        out = [t]
-        for _ in range(n):
-            t = t.map_entries(self.diff_fn)
-            out.append(t)
-        return out
+    def premul(self, t):
+        """Left multiplication by a u-independent tensor."""
+        return self._new({k: t * c for k, c in self.coeffs.items()})
+
+    def scale(self, c):
+        return self._new({k: t.scale(c) for k, t in self.coeffs.items()})
+
+    def partial_trace(self, names):
+        out = {k: t.partial_trace(names) for k, t in self.coeffs.items()}
+        space = next(iter(out.values())).space if out else self.space.drop(names)
+        return self._new(out, space)
+
+    def __repr__(self):
+        return "%s(degrees=%r)" % (type(self).__name__, sorted(self.coeffs))
+
+
+class DiffOp(OperatorPolynomial):
+    """Polynomial in d/du with tensor coefficients."""
+
+    __slots__ = ()
 
     def __mul__(self, other):
         """Weyl-type product: d^j g = sum_i C(j,i) g^(i) d^(j-i)."""
@@ -97,9 +116,11 @@ class DiffOp:
         out = {}
         max_j = self.degree()
         if max_j is None or other.is_zero():
-            return DiffOp.zero(self.space, self.ring, self.diff_fn)
+            return DiffOp.zero(self.space, self.ring)
         for k, bk in other.coeffs.items():
-            ders = self._derivatives(bk, max_j)
+            ders = [bk]  # bk, bk', ..., bk^(max_j) entrywise
+            for _ in range(max_j):
+                ders.append(ders[-1].map_entries(lambda e: e.derivative()))
             for j, aj in self.coeffs.items():
                 for i in range(j + 1):
                     term = aj * ders[i]
@@ -110,134 +131,34 @@ class DiffOp:
                         term = term.scale(self.ring.from_int(c))
                     deg = j - i + k
                     out[deg] = out[deg] + term if deg in out else term
-        return DiffOp(self.space, self.ring, out, self.diff_fn)
-
-    def premul(self, t):
-        """Left multiplication by a u-independent tensor."""
-        return DiffOp(
-            self.space,
-            self.ring,
-            {k: t * c for k, c in self.coeffs.items()},
-            self.diff_fn,
-        )
-
-    def postmul(self, t):
-        """Right multiplication by a u-independent tensor."""
-        return DiffOp(
-            self.space,
-            self.ring,
-            {k: c * t for k, c in self.coeffs.items()},
-            self.diff_fn,
-        )
-
-    def scale(self, c):
-        return DiffOp(
-            self.space,
-            self.ring,
-            {k: t.scale(c) for k, t in self.coeffs.items()},
-            self.diff_fn,
-        )
-
-    def partial_trace(self, names):
-        out = {k: t.partial_trace(names) for k, t in self.coeffs.items()}
-        space = next(iter(out.values())).space if out else self.space.drop(names)
-        return DiffOp(space, self.ring, out, self.diff_fn)
-
-    def map_coefficients(self, fn, ring=None, diff_fn=None):
-        out = {k: fn(t) for k, t in self.coeffs.items()}
-        return DiffOp(
-            self.space,
-            ring if ring is not None else self.ring,
-            out,
-            diff_fn if diff_fn is not None else self.diff_fn,
-        )
+        return DiffOp(self.space, self.ring, out)
 
     def constant_term(self):
         """Result of applying the operator to the constant function 1."""
         return self.coefficient(0)
 
-    def __repr__(self):
-        return "DiffOp(degrees=%r)" % sorted(self.coeffs)
 
-
-class QDiffOp:
-    """Finite map from delta-degree to tensor-valued coefficients.
+class QDiffOp(OperatorPolynomial):
+    """Polynomial in delta with tensor coefficients.
 
     ``shift`` is the scalar factor the substitution applies to u for a
-    single delta (the model uses q^{-2}); coefficients stand to the
-    left of the delta powers.
+    single delta (the model uses q^{-2}).
     """
 
-    __slots__ = ("space", "ring", "coeffs", "shift")
+    __slots__ = ("shift",)
 
     def __init__(self, space, ring, coeffs, shift):
-        self.space = space
-        self.ring = ring
-        self.coeffs = {k: t for k, t in coeffs.items() if not t.is_zero()}
+        super().__init__(space, ring, coeffs)
         self.shift = shift
 
-    @classmethod
-    def zero(cls, space, ring, shift):
-        return cls(space, ring, {}, shift)
-
-    @classmethod
-    def identity(cls, space, ring, shift):
-        return cls(space, ring, {0: AuxTensor.identity(space, ring)}, shift)
-
-    @classmethod
-    def from_tensor(cls, t, shift, degree=0):
-        return cls(t.space, t.ring, {degree: t}, shift)
-
-    def coefficient(self, k):
-        if k in self.coeffs:
-            return self.coeffs[k]
-        return AuxTensor.zero(self.space, self.ring)
-
-    def degree(self):
-        return max(self.coeffs) if self.coeffs else None
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def _check(self, other):
-        if self.space != other.space or self.ring != other.ring:
-            raise ValueError("q-difference-operator field mismatch")
-        if self.shift != other.shift:
-            raise ValueError("mismatched delta substitution factors")
-
-    def __eq__(self, other):
-        if not isinstance(other, QDiffOp):
-            return NotImplemented
-        return (
-            self.space == other.space
-            and self.ring == other.ring
-            and self.shift == other.shift
-            and self.coeffs == other.coeffs
-        )
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.coeffs)
-        for k, t in other.coeffs.items():
-            out[k] = out[k] + t if k in out else t
-        return QDiffOp(self.space, self.ring, out, self.shift)
-
-    def __neg__(self):
-        return QDiffOp(
-            self.space,
-            self.ring,
-            {k: -t for k, t in self.coeffs.items()},
-            self.shift,
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
+    def _params(self):
+        return (self.shift,)
 
     def _shifted(self, t, j):
         """Apply u -> shift^j * u to every entry."""
         if j == 0:
             return t
-        factor = self.shift ** j if j >= 0 else None
+        factor = self.shift ** j
         return t.map_entries(lambda e: e.scale_var(factor))
 
     def __mul__(self, other):
@@ -252,27 +173,3 @@ class QDiffOp:
                 deg = j + k
                 out[deg] = out[deg] + term if deg in out else term
         return QDiffOp(self.space, self.ring, out, self.shift)
-
-    def premul(self, t):
-        return QDiffOp(
-            self.space,
-            self.ring,
-            {k: t * c for k, c in self.coeffs.items()},
-            self.shift,
-        )
-
-    def scale(self, c):
-        return QDiffOp(
-            self.space,
-            self.ring,
-            {k: t.scale(c) for k, t in self.coeffs.items()},
-            self.shift,
-        )
-
-    def partial_trace(self, names):
-        out = {k: t.partial_trace(names) for k, t in self.coeffs.items()}
-        space = next(iter(out.values())).space if out else self.space.drop(names)
-        return QDiffOp(space, self.ring, out, self.shift)
-
-    def __repr__(self):
-        return "QDiffOp(degrees=%r)" % sorted(self.coeffs)

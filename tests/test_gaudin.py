@@ -33,7 +33,7 @@ class TestCurrent:
         # N = 1: the current is the scalar series sum_i g(u/a_i)
         rep = gaudin.GaudinRep(1, [rational(2)])
         L = gaudin.represent_current(rep)
-        F = rep.field
+        F = gaudin.Qu
         u = F.gen
         a = F.embed(rational(2))
         expect = (a + u) / (a - u)
@@ -67,7 +67,7 @@ class TestRoutes:
         # (2u)^m N^m-free structure: for m=1 it is 2Nu times identity
         rep = rep22()
         theta = gaudin.theta_mbar(rep, 1)
-        F = rep.field
+        F = gaudin.Qu
         from triggaudin.tensor import AuxTensor
 
         top = theta.coefficient(1)

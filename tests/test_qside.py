@@ -5,7 +5,7 @@ import pytest
 from triggaudin.rationals import QQ, rational
 from triggaudin.ratfun import FracField
 from triggaudin.rmatrices import r_quantum_scaled
-from triggaudin import qside
+from triggaudin import qside, suites
 
 
 def qrep22():
@@ -77,6 +77,23 @@ class TestTracedProduct:
             for subset in ([], [1], [1, 3], [2], list(range(1, m + 1))):
                 subset = [a for a in subset if a <= m]
                 assert qside.trace_identity_pi(m, subset, 2)
+
+
+class TestOracleTask:
+    def test_wrong_collapse_fails_with_degree_witness(self, monkeypatch):
+        # negative control: the collapse replaced by the twisted product
+        collapsed = qside.mcal_collapsed
+
+        def twisted(rep, m, with_D=False):
+            return collapsed(rep, m, True)
+
+        monkeypatch.setattr(qside, "mcal_collapsed", twisted)
+        args = {"N": 2, "points": ["1", "3"], "m": 1, "with_D": False}
+        (rec,) = suites.run_tasks([("oracle", "claim", "task_mcal_oracle", args)])
+        assert rec["status"] == "fail"
+        assert rec["witness"] and set(rec["witness"]) <= {"0", "1"}
+        for entries in rec["witness"].values():
+            assert entries and all(isinstance(v, str) for _, _, v in entries)
 
 
 class TestEpsExpansion:

@@ -8,6 +8,7 @@ from triggaudin.rationals import QQ, rational
 from triggaudin.ratfun import FracField, PoleError
 from triggaudin.rmatrices import (
     Qq,
+    adjacent_q_chain,
     antisymmetrizer,
     diag_shift_d,
     diag_shift_rho,
@@ -15,6 +16,7 @@ from triggaudin.rmatrices import (
     perm_q,
     perm_sign,
     permutation,
+    plain_cycle_chain,
     r_classical,
     r_quantum,
     r_quantum_scaled,
@@ -32,8 +34,7 @@ def triple(N):
 
 
 def on(t, space, a, b):
-    src = t.space.leg_names()
-    return t.embed(space, {src[0]: "a%d" % a, src[1]: "a%d" % b})
+    return t.place(space, "a%d" % a, "a%d" % b)
 
 
 def rand_rational(rng, avoid=()):
@@ -189,6 +190,17 @@ class TestPermutations:
         pq = perm_q((2, 1), N, q, q.gen)
         sp = pq.space
         assert pq * pq == AuxTensor.identity(sp, q)
+
+    def test_plain_cycle_chain_is_the_q_chain_at_q_one(self):
+        # P_{(k,...,1)} = P_{k-1,k} ... P_{12}, and P^q = P at q = 1
+        for N in (2, 3):
+            for k in (2, 3, 4):
+                space = Space(N, [aux_leg("a%d" % i) for i in range(1, k + 1)])
+                plain = plain_cycle_chain(space, QQ, tuple(range(k, 0, -1)))
+                positions = list(range(k - 1, 0, -1))
+                assert plain == adjacent_q_chain(space, QQ, QQ.one, positions)
+                # negative control: away from q = 1 the chains differ
+                assert plain != adjacent_q_chain(space, QQ, rational(2), positions)
 
     def test_antisymmetrizer_idempotent(self):
         N = 2

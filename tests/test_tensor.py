@@ -2,11 +2,7 @@
 
 import pytest
 
-from triggaudin.kernels import sparse_add, sparse_matmul
-from triggaudin._kernels_py import (
-    sparse_add as py_sparse_add,
-    sparse_matmul as py_sparse_matmul,
-)
+from triggaudin.kernels import sparse_add
 from triggaudin.rationals import QQ, rational
 from triggaudin.tensor import (
     AuxTensor,
@@ -99,12 +95,6 @@ class TestTraces:
 
 
 class TestKernels:
-    def test_backends_agree(self):
-        a = {(0, 1): rational(2), (1, 0): rational(3), (2, 2): rational(-1)}
-        b = {(1, 2): rational(5), (0, 0): rational(1), (2, 2): rational(4)}
-        assert sparse_matmul(a, b) == py_sparse_matmul(a, b)
-        assert sparse_add(a, b) == py_sparse_add(a, b)
-
     def test_cancellation_drops_entries(self):
         a = {(0, 0): rational(1)}
         b = {(0, 0): rational(-1)}

@@ -1,5 +1,7 @@
 """Operator-valued differential and shift operators."""
 
+import pytest
+
 from triggaudin.rationals import QQ, rational
 from triggaudin.ratfun import FracField
 from triggaudin.rmatrices import Qq
@@ -78,6 +80,20 @@ class TestQDiffOp:
             shift,
         )
         assert lhs == rhs
+
+
+class TestDegrees:
+    def test_negative_diffop_degree_rejected(self):
+        with pytest.raises(ValueError):
+            DiffOp(SP, F, {-1: AuxTensor.identity(SP, F)})
+
+    def test_negative_qdiffop_degree_rejected(self):
+        Fu = FracField("u", Qq)
+        shift = Qq.one / (Qq.gen * Qq.gen)
+        ident = AuxTensor.identity(SP, Fu)
+        u_op = QDiffOp(SP, Fu, {0: ident.scale(Fu.gen)}, shift)
+        with pytest.raises(ValueError):
+            QDiffOp(SP, Fu, {-1: ident}, shift) * u_op
 
 
 class TestEquality:
