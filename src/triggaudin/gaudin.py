@@ -11,8 +11,12 @@ routes build the same differential operators theta_m:
   (L_m)-> (Tc_{m-1,m} + P_{m-1,m}(L_{m-1})->) ... (Tc_12 + P_12(L_1)->) 1
   and traces all auxiliary legs.
 
-Both are generic over the coefficient ring through :class:`ThetaContext`
-so the symbolic mode-algebra layer can reuse them verbatim.
+Both trace as they go: auxiliary leg t_a is traced out as soon as step a
+is done with it, so no operator ever lives on more than two auxiliary
+legs and the working space has dimension N^(2+l) for l sites, not
+N^(m+l).  Both are generic over the coefficient ring through
+:class:`ThetaContext` so the symbolic mode-algebra layer and the
+classical limit of the q-side reuse them verbatim.
 
 :class:`Sites` holds the sites of a representation (N and the points);
 the q-side uses the same class with its own field :data:`qside.Qqu`.
@@ -20,7 +24,7 @@ the q-side uses the same class with its own field :data:`qside.Qqu`.
 
 from .rationals import QQ
 from .ratfun import FracField
-from .tensor import AuxTensor, Space, aux_leg, chain, quantum_leg
+from .tensor import AuxTensor, Space, aux_leg, quantum_leg
 from .weyl import DiffOp
 from .rmatrices import (
     diag_shift_rho,
@@ -117,23 +121,20 @@ def current_entry(current, aux, i, j):
     return AuxTensor(rest, current.ring, out, clean=True)
 
 
-def _compositions(total, parts):
-    """All tuples of ``parts`` nonnegative integers summing to ``total``."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 class ThetaContext:
     """Shared recipe for both theta routes, generic over the ring.
 
     ``current_factory(space, aux_name)`` must return the matrix current
     embedded in ``space`` on the auxiliary leg ``aux_name``; ``u_elt``
     is the ring element playing the role of u in 2u d/du.
+
+    Both routes trace as they go.  Auxiliary leg t_a is touched by
+    nothing after step a, and tr_a(A X B) = A tr_a(X) B when A and B do
+    not act on t_a (d/du commutes with the trace), so t_a is traced
+    right after step a.  A step works in the space ``work`` = (t_a,
+    t_{a+1}, quantum legs) of dimension N^(2+l); the traced operator
+    lives on ``rest`` = (t_{a+1}, quantum legs) and is lifted back into
+    ``work`` with its t_{a+1} renamed t_a for the next step.
     """
 
     def __init__(self, N, ring, quantum_legs, current_factory, u_elt):
@@ -142,13 +143,6 @@ class ThetaContext:
         self.quantum_legs = list(quantum_legs)
         self.current_factory = current_factory
         self.u_elt = u_elt
-
-    def aux_names(self, m):
-        return ["t%d" % a for a in range(1, m + 1)]
-
-    def space(self, m):
-        legs = [aux_leg(nm) for nm in self.aux_names(m)] + self.quantum_legs
-        return Space(self.N, legs)
 
     def script_l(self, space, aux, shifted):
         """The matrix differential operator 2u d/du [- rho] - current."""
@@ -160,44 +154,68 @@ class ThetaContext:
             c0 = c0 - rho.place(space, aux)
         return DiffOp(space, self.ring, {1: lead, 0: c0})
 
-    def _pair(self, builder, space, a):
-        """``builder`` on auxiliary legs (t_a, t_{a+1}) of ``space``."""
-        return builder(self.N, self.ring).place(space, "t%d" % a, "t%d" % (a + 1))
+    def _spaces(self):
+        """The step space (ta, tb, quantum legs) and (tb, quantum legs)."""
+        work = Space(self.N, [aux_leg("ta"), aux_leg("tb")] + self.quantum_legs)
+        return work, work.drop(["ta"])
+
+    def _lift(self, X, work):
+        """X on (tb, quantum legs) as an operator on ``work`` with tb -> ta."""
+        return X.place(work, "ta", *[leg.name for leg in self.quantum_legs])
+
+    def _pair(self, tensor, work):
+        """A two-leg tensor on the auxiliary legs (ta, tb) of ``work``."""
+        return tensor.place(work, "ta", "tb")
 
     def theta_mbar(self, m, shifted=False):
-        """theta_m through the right-multiplication recursion."""
+        """theta_m through the right-multiplication recursion.
+
+        X_1 = 1, X_{a+1} = tr_a(P_{a,a+1} (X_a L_a) + Tc_{a,a+1} X_a),
+        theta_m = tr_m(X_m L_m).
+        """
         if m < 1:
             raise ValueError("m must be >= 1")
-        space = self.space(m)
-        X = DiffOp.identity(space, self.ring)
-        for a in range(1, m):
-            la = self.script_l(space, "t%d" % a, shifted)
-            X = (X * la).premul(self._pair(permutation, space, a)) + X.premul(
-                self._pair(tc, space, a)
-            )
-        X = X * self.script_l(space, "t%d" % m, shifted)
-        return X.partial_trace(self.aux_names(m))
+        work, rest = self._spaces()
+        P = self._pair(permutation(self.N, self.ring), work)
+        Tc = self._pair(tc(self.N, self.ring), work)
+        la = self.script_l(work, "ta", shifted)
+        X = DiffOp.identity(rest, self.ring)
+        for _ in range(1, m):
+            X = self._lift(X, work)
+            X = ((X * la).premul(P) + X.premul(Tc)).partial_trace(["ta"])
+        return (X * self.script_l(rest, "tb", shifted)).partial_trace(["tb"])
 
     def theta_generating(self, m, shifted=False):
-        """theta_m as the y^m coefficient of the generating function."""
+        """theta_m as the y^m coefficient of the generating function.
+
+        The s-leg term tr_{1..s} T_{s-1,s}(y)...T_{12}(y) L_1...L_s is
+        tr_s(Z_s L_s) with Z_1 = 1 and Z_{a+1} = tr_a(T_{a,a+1}(y) Z_a L_a).
+        The recursion for Z does not depend on s, so one pass serves
+        every term: Z_a is kept as {y-degree: operator} up to degree
+        m - a, and the s-leg term contributes tr_s(Z_s L_s) at y^(m-s)
+        (Z_1 = 1 has degree 0 only, so the one-leg term counts for m = 1).
+        """
         if m < 1:
             raise ValueError("m must be >= 1")
-        total = None
+        work, rest = self._spaces()
+        T = [self._pair(t_taylor(self.N, self.ring, k), work) for k in range(m - 1)]
+        la = self.script_l(work, "ta", shifted)
+        lb = self.script_l(rest, "tb", shifted)
+        Z = {0: DiffOp.identity(rest, self.ring)}
+        total = DiffOp.zero(rest.drop(["tb"]), self.ring)
         for s in range(1, m + 1):
-            space = self.space(s)
-            factors = [self.script_l(space, nm, shifted) for nm in self.aux_names(s)]
-            prod = factors[0]
-            for f in factors[1:]:
-                prod = prod * f
-            for orders in _compositions(m - s, s - 1):
-                # display order T_{s-1,s}(y) ... T_{12}(y), left to right
-                factors = []
-                for a in range(s - 1, 0, -1):
-                    t = t_taylor(self.N, self.ring, orders[a - 1])
-                    factors.append((t, "t%d" % a, "t%d" % (a + 1)))
-                term = prod.premul(chain(space, self.ring, factors))
-                term = term.partial_trace(self.aux_names(s))
-                total = term if total is None else total + term
+            if m - s in Z:
+                total = total + (Z[m - s] * lb).partial_trace(["tb"])
+            if s == m:
+                break
+            top = m - s - 1
+            nxt = {}
+            for d, z in Z.items():
+                zl = self._lift(z, work) * la
+                for k in range(top - d + 1):
+                    term = zl.premul(T[k])
+                    nxt[d + k] = nxt[d + k] + term if d + k in nxt else term
+            Z = {d: z.partial_trace(["ta"]) for d, z in nxt.items()}
         return total
 
 

@@ -145,9 +145,18 @@ class PBWAlg:
 
     def __init__(self, N):
         self.N = N
-        self.zero = PBWElement(self, {})
-        self.one = PBWElement(self, {((), 0): QQ.one})
+        # word -> terms of its normal form; the cache holds no element,
+        # so nothing in it points back at the algebra and the algebra is
+        # freed by reference counting once its last element is dropped
         self._no_cache = {}
+
+    @property
+    def zero(self):
+        return PBWElement(self, {})
+
+    @property
+    def one(self):
+        return PBWElement(self, {((), 0): QQ.one})
 
     def from_int(self, n):
         if n == 0:
@@ -197,7 +206,7 @@ class PBWAlg:
         """Rewrite an arbitrary product of modes into the PBW basis."""
         cached = self._no_cache.get(word)
         if cached is not None:
-            return cached
+            return PBWElement(self, cached)
         pos = None
         for t in range(len(word) - 1):
             if mode_key(word[t]) > mode_key(word[t + 1]):
@@ -221,7 +230,7 @@ class PBWAlg:
                     elif key in terms:
                         del terms[key]
             result = PBWElement(self, terms)
-        self._no_cache[word] = result
+        self._no_cache[word] = result.terms
         return result
 
     def __eq__(self, other):

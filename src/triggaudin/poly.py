@@ -148,20 +148,29 @@ class UniPoly:
         return self.scale(inv)
 
     def gcd(self, other):
-        """Monic gcd by the Euclidean algorithm."""
+        """Monic gcd by the Euclidean algorithm.
+
+        Every remainder is made monic as it appears, which keeps the
+        coefficients small over Q(q) and other rational-function bases;
+        the plain remainder sequence grows them without bound.
+        """
         a, b = self, other
-        # constant or zero operands settle the answer without division
+        # zero or monomial operands settle the answer without division
         if a.is_zero():
             return b.monic()
         if b.is_zero():
             return a.monic()
-        if len(a.coeffs) == 1 or len(b.coeffs) == 1:
-            return UniPoly.const(self.var, self.base, self.base.one)
+        for x, y in ((a, b), (b, a)):
+            if not any(x.coeffs[:-1]):
+                # x = c var^k and var is prime: gcd = var^min(k, val(y))
+                k = min(len(x.coeffs) - 1, y.valuation())
+                return UniPoly.const(self.var, self.base, self.base.one).shift(k)
+        b = b.monic()
         while b:
-            a, b = b, a % b
+            a, b = b, (a % b).monic()
             if len(a.coeffs) == 1:
                 return UniPoly.const(self.var, self.base, self.base.one)
-        return a.monic()
+        return a
 
     def derivative(self):
         out = [

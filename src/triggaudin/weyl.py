@@ -96,6 +96,12 @@ class OperatorPolynomial:
     def scale(self, c):
         return self._new({k: t.scale(c) for k, t in self.coeffs.items()})
 
+    def place(self, target, *legs):
+        """Every coefficient embedded by :meth:`AuxTensor.place`."""
+        return self._new(
+            {k: t.place(target, *legs) for k, t in self.coeffs.items()}, target
+        )
+
     def partial_trace(self, names):
         out = {k: t.partial_trace(names) for k, t in self.coeffs.items()}
         space = next(iter(out.values())).space if out else self.space.drop(names)

@@ -32,6 +32,36 @@ class TestRationals:
         assert rat(-6, -4) == rat(3, 2)
 
 
+def _euclid_gcd(a, b):
+    """Monic gcd by the plain remainder sequence (the reference)."""
+    while b:
+        a, b = b, a % b
+    return a.monic()
+
+
+# polynomials over Q with their low coefficients often zero, so that
+# monomials and powers of u turn up among the operands
+low_polys = st.builds(
+    lambda cs, k: UniPoly("u", QQ, [rat(c) for c in cs]).shift(k),
+    st.lists(st.integers(min_value=-3, max_value=3), max_size=4),
+    st.integers(min_value=0, max_value=3),
+)
+
+
+class TestPolyGcd:
+    @settings(max_examples=200, deadline=None)
+    @given(low_polys, low_polys)
+    def test_matches_plain_euclid(self, a, b):
+        assert a.gcd(b) == _euclid_gcd(a, b)
+
+    def test_monomial_operand(self):
+        # gcd(3u^5, (u + 2)u^2) = u^2 and gcd((u + 2)u^2, -u) = u
+        x = UniPoly.gen("u", QQ)
+        p = (x + UniPoly.const("u", QQ, rat(2))).shift(2)
+        assert x.shift(4).scale(rat(3)).gcd(p) == x.shift(1)
+        assert p.gcd(x.scale(rat(-1))) == x
+
+
 class TestRatFunArithmetic:
     def test_partial_fraction_of_sum(self):
         # 1/(1-u) + 1/(1+u) = 2/(1-u^2)

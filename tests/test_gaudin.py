@@ -3,7 +3,10 @@
 import pytest
 
 from triggaudin.rationals import QQ, rational
-from triggaudin import gaudin
+from triggaudin.rmatrices import tc
+from triggaudin import gaudin, suites
+
+import full_space_routes
 
 
 def rep22():
@@ -75,6 +78,47 @@ class TestRoutes:
             rep.quantum_space(), F, F.from_int(2 * rep.N) * F.gen
         )
         assert top == expect
+
+    @pytest.mark.parametrize("N, m", [(3, 5), (4, 4)])
+    def test_equivalence_large(self, N, m):
+        rep = gaudin.GaudinRep(N, [rational(1), rational(3)])
+        assert gaudin.theta_generating(rep, m) == gaudin.theta_mbar(rep, m)
+
+
+# (N, points, m): one and two sites, m <= 3, and m = 4 at N = 2
+CONTRACTED_CASES = [
+    pytest.param(N, points, m, id="N%d-l%d-m%d" % (N, len(points), m))
+    for N in (2, 3)
+    for points in ((2,), (1, 3))
+    for m in (1, 2, 3, 4)
+    if m <= 3 or N == 2
+]
+
+
+class TestContractedRoutes:
+    """Trace-as-you-go routes against the full-space reference."""
+
+    @pytest.mark.parametrize("shifted", [False, True])
+    @pytest.mark.parametrize("N, points, m", CONTRACTED_CASES)
+    def test_against_full_space(self, N, points, m, shifted):
+        rep = gaudin.GaudinRep(N, [rational(a) for a in points])
+        ctx = gaudin.rep_context(rep)
+        mbar = ctx.theta_mbar(m, shifted)
+        assert not mbar.is_zero()
+        assert mbar == full_space_routes.theta_mbar(ctx, m, shifted)
+        assert ctx.theta_generating(m, shifted) == full_space_routes.theta_generating(
+            ctx, m, shifted
+        )
+
+    def test_wrong_tc_fails_with_witness(self, monkeypatch):
+        # negative control: -Tc in the recursion only (the generating
+        # route takes Tc from t_taylor); at m = 2 the Tc term traces to
+        # zero, so m = 3 is the first order where the control can fail
+        monkeypatch.setattr(gaudin, "tc", lambda N, ring: -tc(N, ring))
+        args = {"N": 2, "points": ("1", "3"), "m": 3, "shifted": False}
+        (rec,) = suites.run_tasks([("routes", "claim", "task_theta_routes", args)])
+        assert rec["status"] == "fail"
+        assert rec["witness"] and all(rec["witness"].values())
 
 
 class TestQuadraticResidues:

@@ -1,11 +1,15 @@
 """Symbolic mode-algebra layer: bracket, normal ordering, coefficients."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
 from triggaudin.rationals import QQ, rational
 from triggaudin import gaudin, pbw
+
+import full_space_routes
 
 
 def alg2():
@@ -120,6 +124,34 @@ class TestThetaSymbolic:
             for i in range(1, N + 1):
                 expect = expect + alg.generator(i, i, -d, QQ.from_int(2))
             assert coeffs[(0, d)] == expect
+
+    @pytest.mark.parametrize("shifted", [False, True])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_against_full_space(self, m, shifted, monkeypatch):
+        u_order = 3
+        ctx = pbw.symbolic_context(2, u_order, m)
+        assert ctx.theta_generating(m, shifted) == full_space_routes.theta_generating(
+            ctx, m, shifted
+        )
+        fast = pbw.theta_symbolic(2, m, u_order, shifted)
+        monkeypatch.setattr(
+            gaudin.ThetaContext, "theta_mbar", full_space_routes.theta_mbar
+        )
+        assert fast and fast == pbw.theta_symbolic(2, m, u_order, shifted)
+
+    def test_algebra_freed_with_result(self):
+        # no reference cycle through the algebra: reference counting
+        # alone frees it once the last element is dropped
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            coeffs = pbw.theta_symbolic(2, 2, 2)
+            alg = weakref.ref(next(iter(coeffs.values())).alg)
+            del coeffs
+            assert alg() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_envelope_rejected(self):
         with pytest.raises(ValueError):
