@@ -19,7 +19,7 @@ N^(m+l).  Both are generic over the coefficient ring through
 classical limit of the q-side reuse them verbatim.
 
 :class:`Sites` holds the sites of a representation (N and the points);
-the q-side uses the same class with its own field :data:`qside.Qqu`.
+the q-side uses the same class with its own Laurent rings.
 """
 
 from .rationals import QQ

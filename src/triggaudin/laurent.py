@@ -114,6 +114,26 @@ class Laurent:
             self._check(other)
         return self * other.inverse()
 
+    def scale_var(self, factor):
+        """Substitute x_n -> factor * x_n in the last variable.
+
+        ``factor`` must be a monomial free of x_n, so the substitution
+        maps distinct monomials to distinct monomials and no terms
+        merge.
+        """
+        if type(factor) is not Laurent or factor.ring is not self.ring:
+            self._check(factor)
+        if len(factor.terms) != 1:
+            raise ArithmeticError("scale_var needs a monomial factor: %r" % factor)
+        ((ef, cf),) = factor.terms.items()
+        if ef[-1]:
+            raise ValueError("scale_var factor must not involve the scaled variable")
+        out = {}
+        for e, c in self.terms.items():
+            k = e[-1]
+            out[tuple(a + k * b for a, b in zip(e, ef))] = c * cf ** k
+        return Laurent(self.ring, out)
+
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)

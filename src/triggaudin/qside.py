@@ -8,15 +8,21 @@ traced fused products give commuting transfer-matrix-like elements.
 The ``classical_limit_compare`` machinery expands in eps = q - 1 and
 matches the q-side operators against the classical two-route builder.
 
-Rings: the bivariate identities (``rll_check``, ``bethe_commut_check``)
-are built from denominator-cleared R-matrices, so every entry is a
-Laurent polynomial in q, u, v; they are checked in the sparse ring
-:data:`QUV` = Q[q^+-1, u^+-1, v^+-1], which needs no gcd.  That ring is
-a subring of Q(q)(u)(v), so a difference vanishes there exactly when it
-vanishes in the rational-function tower.  The traced products
-(``mcal``, ``mcal_collapsed``), the classical limit and the central
-term divide by (q - 1)^m and by the R-matrix denominators, and stay in
-the Q(q)(u) tower :data:`Qqu`.
+Rings: every q-side product is built from denominator-cleared currents
+(each R-matrix factor times its denominator q - x/q), so every entry is
+a Laurent polynomial and no step takes a gcd.  The bivariate identities
+(``rll_check``, ``bethe_commut_check``) live in :data:`QUV` =
+Q[q^+-1, u^+-1, v^+-1]; the traced products (``mcal``,
+``mcal_collapsed``) live in :data:`QU` = Q[q^+-1, u^+-1], without their
+(q - 1)^(-m) prefactor.  These rings are subrings of the
+rational-function towers over Q(q), so an identity holds in them
+exactly when it holds there, and the cleared scalar factor is the same
+nonzero element on both sides of every comparison.  The classical limit
+puts q = 1 + eps into the Laurent entries and divides by the eps-series
+of the cleared factor (:func:`cleared_factor`), whose eps^0 term is a
+unit in Q(u).  Only the central-term check stays on x-series over Q(q):
+its normalizer coefficients have the denominator q^(2Nk) - 1, which
+vanishes at q = 1.
 
 Convention note: the eps^1 coefficient of L+(u) differs from the
 classical current sum_i r_{0i}(u/a_i) by the central scalar series
@@ -25,11 +31,13 @@ convention "classical current := eps^1 coefficient of the q-current",
 which leaves every commutativity statement untouched.
 """
 
+from functools import lru_cache
 from math import comb, factorial
 
 from .laurent import LaurentRing
+from .poly import UniPoly
 from .rationals import QQ
-from .ratfun import FracField, RatFun
+from .ratfun import RatFun
 from .series import SeriesRing, TruncSeries
 from .tensor import AuxTensor, Space, aux_leg, chain
 from .weyl import QDiffOp
@@ -50,8 +58,8 @@ from .rmatrices import (
 # commutators): every entry there is a Laurent polynomial in q, u, v.
 QUV = LaurentRing(("q", "u", "v"))
 
-# the field of the traced products' coefficients: Q(q)(u)
-Qqu = FracField("u", Qq)
+# The ring of the cleared traced products: Laurent polynomials in q, u.
+QU = LaurentRing(("q", "u"))
 
 QRep = Sites
 
@@ -63,26 +71,26 @@ def embed_rational(ring, a):
     return num / den
 
 
-def qrep_current(rep, ring=None, q=None, u=None, space=None, aux="z0", cleared=False):
-    """L+(u) = R_{01}(u/a_1) R_{02}(u/a_2) ... R_{0l}(u/a_l).
+def _gens(ring, q, u):
+    """q and u, by default the first two generators of a Laurent ring."""
+    return ring.gens[0] if q is None else q, ring.gens[1] if u is None else u
 
-    ``ring``, ``q`` and ``u`` default to :data:`Qqu` with its generators;
-    passing them explicitly supports towers (bivariate u, v checks) and
-    shifted arguments like u q^{-2a+2}.  ``cleared`` multiplies each
-    factor by its scalar denominator (q - x/q), giving polynomial
-    entries; identities homogeneous in the current are insensitive to
-    this central rescaling.
+
+def qrep_current(rep, ring=QU, q=None, u=None, space=None, aux="z0"):
+    """The cleared current den(u) L+(u), den(u) = prod_i (q - u/(a_i q)).
+
+    L+(u) = R_{01}(u/a_1) R_{02}(u/a_2) ... R_{0l}(u/a_l); each factor is
+    multiplied by its scalar denominator (q - x/q), so every entry is a
+    Laurent polynomial.  ``q`` and ``u`` default to the ring's first two
+    generators; passing ``u`` supports shifted arguments like
+    u q^{-2a+2} and the second variable of bivariate checks.
     """
-    if ring is None:
-        ring = Qqu
-        q = ring.embed(Qq.gen)
-        u = ring.gen
+    q, u = _gens(ring, q, u)
     if space is None:
         space = rep.current_space(aux)
-    builder = r_quantum_scaled if cleared else r_quantum
     factors = [
-        (builder(rep.N, ring, q, u / embed_rational(ring, a)), aux, "s%d" % (i + 1))
-        for i, a in enumerate(rep.points)
+        (r_quantum_scaled(rep.N, ring, q, u / embed_rational(ring, a)), aux, "s%d" % i)
+        for i, a in enumerate(rep.points, start=1)
     ]
     return chain(space, ring, factors)
 
@@ -97,8 +105,8 @@ def exchange_difference(rep, R):
     """
     q, u, v = QUV.gens
     space = rep.space(["b1", "b2"])
-    L1 = qrep_current(rep, ring=QUV, q=q, u=u, space=space, aux="b1", cleared=True)
-    L2 = qrep_current(rep, ring=QUV, q=q, u=v, space=space, aux="b2", cleared=True)
+    L1 = qrep_current(rep, QUV, q, u, space, "b1")
+    L2 = qrep_current(rep, QUV, q, v, space, "b2")
     R12 = R.place(space, "b1", "b2")
     return R12 * L1 * L2 - L2 * L1 * R12
 
@@ -116,13 +124,16 @@ def rll_check(rep):
     return exchange_difference(rep, R).is_zero()
 
 
-def bethe(rep, kind, k, with_D=False, ring=None, q=None, u=None, cleared=False):
-    """Traced fused product of k shifted currents behind a projector.
+def bethe(rep, kind, k, with_D=False, ring=QU, q=None, u=None):
+    """Traced fused product of k shifted cleared currents behind a projector.
 
     kind "antisym" uses the normalized q-antisymmetrizer A^(k) (k <= N);
     kind "newton" uses the full-cycle q-permutation
     P^q_{(k,...,1)} = P^q_{k-1,k} ... P^q_{1,2}.  ``with_D`` inserts the
-    diagonal shift D on every fused leg before tracing.
+    diagonal shift D on every fused leg before tracing.  Leg a carries
+    the current at u q^{2-2a}, cleared as in :func:`qrep_current`, so the
+    result is prod_{j<k} den(u q^{-2j}) times the traced product of the
+    true currents.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -130,10 +141,7 @@ def bethe(rep, kind, k, with_D=False, ring=None, q=None, u=None, cleared=False):
         raise ValueError("unknown kind %r" % kind)
     if kind == "antisym" and k > rep.N:
         raise ValueError("antisymmetrizer is computed only for k <= N")
-    if ring is None:
-        ring = Qqu
-        q = ring.embed(Qq.gen)
-        u = ring.gen
+    q, u = _gens(ring, q, u)
     bnames = ["b%d" % a for a in range(1, k + 1)]
     space = rep.space(bnames)
     if kind == "antisym":
@@ -142,9 +150,7 @@ def bethe(rep, kind, k, with_D=False, ring=None, q=None, u=None, cleared=False):
         acc = adjacent_q_chain(space, ring, q, range(k - 1, 0, -1))
     for a in range(1, k + 1):
         ua = u * q ** (2 - 2 * a)
-        acc = acc * qrep_current(
-            rep, ring=ring, q=q, u=ua, space=space, aux=bnames[a - 1], cleared=cleared
-        )
+        acc = acc * qrep_current(rep, ring, q, ua, space, bnames[a - 1])
     if with_D:
         D = diag_shift_d(rep.N, ring, q)
         for nm in bnames:
@@ -160,69 +166,83 @@ def bethe_commut_check(rep, spec_a, spec_b):
     and the check needs no rational-function arithmetic.
     """
     q, u, v = QUV.gens
-    A = bethe(rep, spec_a[0], spec_a[1], spec_a[2], ring=QUV, q=q, u=u, cleared=True)
-    B = bethe(rep, spec_b[0], spec_b[1], spec_b[2], ring=QUV, q=q, u=v, cleared=True)
+    A = bethe(rep, *spec_a, ring=QUV, u=u)
+    B = bethe(rep, *spec_b, ring=QUV, u=v)
     return (A * B - B * A).is_zero()
 
 
+def cleared_factor(rep, k):
+    """prod_{j<k} den(u q^{-2j}) over :data:`QU`, den(u) = prod_i (q - u/(a_i q)).
+
+    The delta^k coefficient of :func:`mcal` and :func:`mcal_collapsed`
+    is (q-1)^m times this factor times the true coefficient.  At q = 1 it
+    is prod_i (1 - u/a_i)^k, a unit in Q(u).
+    """
+    q, u = QU.gens
+    out = QU.one
+    for j in range(k):
+        for a in rep.points:
+            out = out * (q - u * q ** (-2 * j - 1) / embed_rational(QU, a))
+    return out
+
+
 def mcal(rep, m, with_D=False):
-    """The m-th bracketed product, traced: a polynomial in delta.
+    """The m-th bracketed product, traced: a polynomial in delta over :data:`QU`.
 
     Built by the right-multiplication recursion with M_a = L+_a(u) delta
-    (times D_a when shifted); the 1/(q-1)^m prefactor is kept
-    symbolically in Q(q) so the classical-limit module can divide
-    exactly.  delta shifts u by q^{-2}.
+    (times D_a when shifted); delta shifts u by q^{-2}.  The currents are
+    cleared and the (q-1)^{-m} prefactor is left out: with
+    den(u) = prod_i (q - u/(a_i q)), the delta^k coefficient is
+    (q-1)^m prod_{j<k} den(u q^{-2j}) times the true one (see
+    :func:`cleared_factor`), and every entry is a Laurent polynomial.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    Fu = Qqu
-    q = Fu.embed(Qq.gen)
-    u = Fu.gen
-    shift = Qq.one / (Qq.gen * Qq.gen)
+    q, u = QU.gens
+    shift = q ** -2
     tnames = ["t%d" % a for a in range(1, m + 1)]
     space = rep.space(tnames)
 
     def m_factor(a):
-        La = qrep_current(rep, ring=Fu, q=q, u=u, space=space, aux=tnames[a - 1])
+        La = qrep_current(rep, QU, q, u, space, tnames[a - 1])
         if with_D:
-            La = La * diag_shift_d(rep.N, Fu, q).place(space, tnames[a - 1])
-        return QDiffOp(space, Fu, {1: La}, shift)
+            La = La * diag_shift_d(rep.N, QU, q).place(space, tnames[a - 1])
+        return QDiffOp(space, QU, {1: La}, shift)
 
-    pq = q_permutation(rep.N, Fu, q)
-    pp = permutation(rep.N, Fu)
-    X = QDiffOp.identity(space, Fu, shift)
+    pq = q_permutation(rep.N, QU, q)
+    pp = permutation(rep.N, QU)
+    X = QDiffOp.identity(space, QU, shift)
     for a in range(1, m):
         legs = (tnames[a - 1], tnames[a])
         X = X.premul(pp.place(space, *legs)) - (X * m_factor(a)).premul(
             pq.place(space, *legs)
         )
     X = X - X * m_factor(m)
-    pref = Fu.one / (q - Fu.one) ** m
-    return X.scale(pref).partial_trace(tnames)
+    return X.partial_trace(tnames)
 
 
 def mcal_collapsed(rep, m, with_D=False):
     """Independent oracle: the binomial collapse of the traced product.
 
-    (q-1)^{-m} sum_k (-1)^k C(m,k) tr_{1..k} Pq-cycle
-    L1(u)...Lk(uq^{-2k+2}) [D's] delta^k.
+    sum_k (-1)^k C(m,k) tr_{1..k} Pq-cycle L1(u)...Lk(uq^{-2k+2}) [D's]
+    delta^k, from cleared currents and without the (q-1)^{-m} prefactor,
+    so the delta^k coefficient is (q-1)^m prod_{j<k} den(u q^{-2j}) times
+    the true one, exactly as for :func:`mcal`.
     """
-    Fu = Qqu
-    q = Fu.embed(Qq.gen)
-    shift = Qq.one / (Qq.gen * Qq.gen)
+    q = QU.gens[0]
+    shift = q ** -2
     qspace = rep.quantum_space()
-    total = QDiffOp.zero(qspace, Fu, shift)
+    total = QDiffOp.zero(qspace, QU, shift)
     for k in range(0, m + 1):
         if k == 0:
             # the empty subset leaves the full plain cycle, whose total
             # trace is N rather than 1
-            term = AuxTensor.scalar(qspace, Fu, Fu.from_int(rep.N))
+            term = AuxTensor.scalar(qspace, QU, QU.from_int(rep.N))
         else:
             term = bethe(rep, "newton", k, with_D)
-        c = Fu.from_int((-1) ** k * comb(m, k))
-        total = total + QDiffOp(qspace, Fu, {k: term.scale(c)}, shift)
-    pref = Fu.one / (q - Fu.one) ** m
-    return total.scale(pref)
+        c = QU.from_int((-1) ** k * comb(m, k))
+        total = total + QDiffOp(qspace, QU, {k: term.scale(c)}, shift)
+    return total
 
 
 def trace_identity_pi(m, subset, N, numeric_q=None):
@@ -267,42 +287,50 @@ def trace_identity_pi(m, subset, N, numeric_q=None):
 # eps = q - 1 expansions
 
 
-def eps_expand(f, order):
-    """Expand a rational function of u over Q(q) around q = 1.
+@lru_cache(maxsize=None)
+def _binomials(a, order):
+    """C(a, 0), ..., C(a, order) for any integer a: the eps-coefficients
+    of (1 + eps)^a."""
+    out = [QQ.one]
+    for t in range(1, order + 1):
+        out.append(out[-1] * (a - t + 1) / t)
+    return tuple(out)
 
-    Returns a truncated series in eps whose coefficients are rational
-    functions of u over Q (in :data:`~triggaudin.gaudin.Qu`).  The input
-    must be regular at q = 1.
+
+def _u_laurent(terms):
+    """{exponent: c} in u as an element of Q(u), in canonical form.
+
+    A Laurent polynomial is num(u) / u^k with num(0) != 0 when k > 0, so
+    num and the monic u^k are coprime and no gcd is needed.
     """
-    target = Qu
-    from .poly import UniPoly
+    if not terms:
+        return Qu.zero
+    low = min(min(terms), 0)
+    coeffs = [QQ.zero] * (max(terms) - low + 1)
+    for b, c in terms.items():
+        coeffs[b - low] = c
+    den = UniPoly("u", QQ, [QQ.zero] * -low + [QQ.one])
+    return RatFun("u", QQ, UniPoly("u", QQ, coeffs), den, reduce=False)
 
-    num_rows = [c.expand_at(QQ.one, 0, order) for c in f.num.coeffs]
-    den_rows = [c.expand_at(QQ.one, 0, order) for c in f.den.coeffs]
 
-    def poly_at(rows, j):
-        return UniPoly("u", QQ, [row[j] for row in rows])
+def eps_expand(f, order):
+    """The eps-series of a Laurent polynomial f in q, u at q = 1 + eps.
 
-    num_s = [RatFun.from_poly(poly_at(num_rows, j)) for j in range(order + 1)]
-    den_s = [RatFun.from_poly(poly_at(den_rows, j)) for j in range(order + 1)]
-    if den_s[0].is_zero():
-        raise ZeroDivisionError("denominator vanishes at q = 1")
-    inv0 = target.one / den_s[0]
-    inv = [inv0]
-    for k in range(1, order + 1):
-        acc = target.zero
-        for j in range(1, k + 1):
-            if den_s[j]:
-                acc = acc + den_s[j] * inv[k - j]
-        inv.append(-(inv0 * acc))
-    out = []
-    for k in range(order + 1):
-        acc = target.zero
-        for j in range(k + 1):
-            if num_s[j]:
-                acc = acc + num_s[j] * inv[k - j]
-        out.append(acc)
-    return TruncSeries("eps", target, order, out)
+    Each q^a is expanded by the generalised binomial series
+    (1 + eps)^a = sum_t C(a, t) eps^t, which also holds for a < 0.  The
+    coefficients are Laurent polynomials in u, returned as elements of
+    :data:`~triggaudin.gaudin.Qu`.
+    """
+    rows = [{} for _ in range(order + 1)]
+    for (a, b), c in f.terms.items():
+        for row, w in zip(rows, _binomials(a, order)):
+            if w:
+                s = row.get(b, 0) + c * w
+                if s:
+                    row[b] = s
+                else:
+                    del row[b]
+    return TruncSeries("eps", Qu, order, [_u_laurent(row) for row in rows])
 
 
 def stirling2(n, k):
@@ -354,10 +382,18 @@ def delta_power_in_derivatives(k, order, target):
     return out
 
 
+def _uncleared(rep, k, order):
+    """The inverse eps-series of :func:`cleared_factor`: multiplying the
+    eps-series of a cleared delta^k entry by it gives the true one."""
+    return eps_expand(cleared_factor(rep, k), order).invert()
+
+
 def classical_limit_current(rep):
     """The eps^1 coefficient of L+(u), on one auxiliary plus site legs."""
-    Lq = qrep_current(rep)
-    return Lq.map_entries(lambda f: eps_expand(f, 1).coefficient(1), ring=Qu)
+    inv = _uncleared(rep, 1, 1)
+    return qrep_current(rep).map_entries(
+        lambda f: (eps_expand(f, 1) * inv).coefficient(1), ring=Qu
+    )
 
 
 def classical_limit_compare(rep, m, with_D=False, route="collapsed"):
@@ -366,7 +402,9 @@ def classical_limit_compare(rep, m, with_D=False, route="collapsed"):
 
     LHS: expand every delta-coefficient of the (q-1)^m-rescaled traced
     product in eps, convert delta powers to u-derivatives, keep the
-    eps^m coefficient.  ``route`` picks how that product is built
+    eps^m coefficient.  The cleared delta^k entries are expanded from
+    the Laurent ring and multiplied by the inverse eps-series of
+    :func:`cleared_factor`.  ``route`` picks how that product is built
     ("collapsed" binomial form, much faster, or the literal
     "recursion"); the two are checked equal independently by the
     oracle comparison in the q-side suite.
@@ -376,15 +414,14 @@ def classical_limit_compare(rep, m, with_D=False, route="collapsed"):
     if route not in ("collapsed", "recursion"):
         raise ValueError("unknown route %r" % route)
     target = Qu
-    q = Qqu.embed(Qq.gen)
-    pref = (q - Qqu.one) ** m
     T = (mcal if route == "recursion" else mcal_collapsed)(rep, m, with_D)
     sring = SeriesRing("eps", target, m)
     lhs = {}
     qspace = rep.quantum_space()
     for k in sorted(T.coeffs):
+        inv = _uncleared(rep, k, m)
         tensor = T.coeffs[k].map_entries(
-            lambda f: eps_expand(f * pref, m), ring=sring
+            lambda f: eps_expand(f, m) * inv, ring=sring
         )
         for i, coeff in delta_power_in_derivatives(k, m, target).items():
             contrib = tensor.map_entries(lambda s: s * coeff)

@@ -12,6 +12,7 @@ import itertools
 import random
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 from . import gaudin, pbw, qside
 from .rationals import QQ, parse_rational
@@ -520,7 +521,7 @@ def _tasks_qside(cfg):
                 },
             )
         )
-    for m in range(1, min(cfg["m_max"], 2) + 1):
+    for m in range(1, min(cfg["m_max"], 4) + 1):
         for with_D in (False, True):
             out.append(
                 (
@@ -541,7 +542,7 @@ def _tasks_qside(cfg):
 
 def _tasks_qlimit(cfg):
     out = []
-    for m in range(1, min(cfg["m_max"], 3) + 1):
+    for m in range(1, min(cfg["m_max"], 4) + 1):
         for with_D in (False, True):
             out.append(
                 (
@@ -662,17 +663,38 @@ def _dispatch(task):
     return record(check_id, claim, ok, witness)
 
 
+def _run_alone(task):
+    """Run one task in a fresh one-worker pool; a worker that dies while
+    running it makes it an "error" record."""
+    with ProcessPoolExecutor(max_workers=1) as ex:
+        try:
+            return ex.submit(_dispatch, task).result()
+        except BrokenProcessPool as exc:
+            return error_record(task[0], task[1], exc)
+
+
 def run_tasks(tasks, workers=1):
     """The records of the given task descriptors, in task order.
 
     With several workers the tasks run in separate processes but the
     records come back in the same order, so the report built from them
-    is byte-identical for any worker count.
+    is byte-identical for any worker count.  A worker that dies breaks
+    its pool and loses every unfinished task; each of those is run again
+    alone in a fresh pool, so only the task that kills its own worker is
+    recorded, as an "error".
     """
     if workers <= 1:
         return [_dispatch(t) for t in tasks]
+    records = []
     with ProcessPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(_dispatch, tasks))
+        for fut in [ex.submit(_dispatch, t) for t in tasks]:
+            try:
+                records.append(fut.result())
+            except BrokenProcessPool:
+                records.append(None)
+    return [
+        _run_alone(t) if rec is None else rec for t, rec in zip(tasks, records)
+    ]
 
 
 def run_suite(suite, cfg, workers=1):

@@ -147,8 +147,9 @@ class DiffOp(OperatorPolynomial):
 class QDiffOp(OperatorPolynomial):
     """Polynomial in delta with tensor coefficients.
 
-    ``shift`` is the scalar factor the substitution applies to u for a
-    single delta (the model uses q^{-2}).
+    ``shift`` is the factor the substitution applies to u for a single
+    delta (the model uses q^{-2}, a monomial of the Laurent ring in q, u);
+    entries apply it through their ``scale_var``.
     """
 
     __slots__ = ("shift",)

@@ -1,6 +1,10 @@
 """Command-line surface: config resolution, reports, exit codes."""
 
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -153,6 +157,10 @@ def _not_a_unit(*args, **kwargs):
     return qside.QUV.one / (q + qside.QUV.one), None
 
 
+def _kill_worker(*args, **kwargs):
+    os._exit(9)
+
+
 class TestFailureIsolation:
     BAD = ("qside/bad", "repeated points", "task_rll", {"N": 2, "points": ["1", "1"]})
     GOOD = ("trace/one-leg", "one-leg trace", "task_trace_one_leg", {"N": 2})
@@ -179,11 +187,46 @@ class TestFailureIsolation:
         )
         assert any(c["status"] == "pass" for c in doc["checks"])
 
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="workers see the monkeypatched task only when forked",
+    )
+    def test_dead_worker_is_recorded_as_error(self, tmp_path, monkeypatch):
+        # the task that kills its worker breaks the pool; every other task
+        # still gets its own record and the report is written
+        monkeypatch.setattr(suites, "task_skew_symmetry", _kill_worker)
+        records = run_tasks(suites.build_tasks("ybe", {"N": 2}), workers=2)
+        assert [r["status"] for r in records] == ["pass", "error", "pass"]
+        assert records[1]["witness"]["type"] == "BrokenProcessPool"
+        out = tmp_path / "report.json"
+        code = run(["verify", "--suite", "ybe", "--workers", "2", "--out", str(out)])
+        assert code == 3
+        assert load(out)["checks"] == records
+
     def test_internal_error_is_not_a_usage_error(self, tmp_path, monkeypatch):
         monkeypatch.setattr(gaudin, "extract_family", _not_a_unit)
         out = tmp_path / "family.json"
         assert run(["hamiltonians", "--out", str(out)]) == 3
         assert not out.exists()
+
+
+class TestModuleEntryPoint:
+    def test_python_m_runs_a_suite(self, tmp_path):
+        out = tmp_path / "report.json"
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "triggaudin", "verify", "--suite", "ybe",
+             "--out", str(out)],
+            env=env,
+            capture_output=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert load(out)["pass"] is True
 
 
 class TestQlimit:
@@ -196,4 +239,4 @@ class TestQlimit:
         assert "note" in doc
 
     def test_m_bound(self):
-        assert run(["qlimit", "--m", "4"]) == 2
+        assert run(["qlimit", "--m", "5"]) == 2

@@ -10,47 +10,21 @@ from hypothesis import example, given, settings, strategies as st
 from triggaudin import qside
 from triggaudin.laurent import Laurent, LaurentRing
 from triggaudin.rationals import QQ, rational
-from triggaudin.poly import UniPoly
-from triggaudin.ratfun import FracField, RatFun
+from triggaudin.ratfun import FracField
 from triggaudin.rmatrices import Qq
 
+from tower_reference import Qqu, lift, to_tower as to_qqu
+
 QUV = qside.QUV
-FU = FracField("u", Qq)
-FUV = FracField("v", FU)
-TOWER_GENS = (FUV.embed(FU.embed(Qq.gen)), FUV.embed(FU.gen), FUV.gen)
-
-
-def _lift(terms, fields):
-    """{exponent tuple: c} as an element of fields[-1], in canonical form.
-
-    The last exponent belongs to the outermost variable.  A Laurent
-    polynomial in x is num(x) / x^k with num(0) != 0 when k > 0, so num
-    and the monic x^k are coprime and no gcd is needed.
-    """
-    field, base = fields[-1], fields[-1].base
-    groups = {}
-    for exps, c in terms.items():
-        groups.setdefault(exps[-1], {})[exps[:-1]] = c
-    low = min(groups)
-    start = min(low, 0)
-    coeffs = [base.zero] * (max(groups) - start + 1)
-    for k, sub in groups.items():
-        coeffs[k - start] = sub[()] if len(fields) == 1 else _lift(sub, fields[:-1])
-    den = [base.zero] * -start + [base.one]
-    return RatFun(
-        field.var,
-        base,
-        UniPoly(field.var, base, coeffs),
-        UniPoly(field.var, base, den),
-        reduce=False,
-    )
+FUV = FracField("v", Qqu)
+TOWER_GENS = (FUV.embed(Qqu.embed(Qq.gen)), FUV.embed(Qqu.gen), FUV.gen)
 
 
 def to_tower(x):
     """The element of Q(q)(u)(v) that a Laurent polynomial denotes."""
     if x.is_zero():
         return FUV.zero
-    return _lift(x.terms, (Qq, FU, FUV))
+    return lift(x.terms, (Qq, Qqu, FUV))
 
 
 exponents = st.tuples(*[st.integers(min_value=-3, max_value=3)] * 3)
@@ -66,6 +40,11 @@ laurents = st.builds(
 monomials = st.builds(
     lambda e, c: Laurent(QUV, {e: c}), exponents, nonzero_coeffs
 )
+small = st.integers(min_value=-3, max_value=3)
+qu_laurents = st.builds(
+    lambda terms: Laurent(qside.QU, terms),
+    st.dictionaries(st.tuples(small, small), nonzero_coeffs, max_size=4),
+)
 
 
 class TestAgainstTower:
@@ -73,7 +52,7 @@ class TestAgainstTower:
     @given(monomials)
     def test_map_of_monomial(self, m):
         ((exps, c),) = m.terms.items()
-        expect = FUV.embed(FU.embed(Qq.embed(c)))
+        expect = FUV.embed(Qqu.embed(Qq.embed(c)))
         for g, e in zip(TOWER_GENS, exps):
             expect = expect * g ** e
         assert to_tower(m) == expect
@@ -154,6 +133,23 @@ class TestAgainstTower:
         assert ((a - b).is_zero()) == (to_tower(a) - to_tower(b)).is_zero()
 
 
+class TestScaleVar:
+    @settings(max_examples=40, deadline=None)
+    @given(qu_laurents, small, nonzero_coeffs)
+    def test_against_tower(self, a, e, c):
+        # u -> c q^e u in Q[q^+-1, u^+-1] and in Q(q)(u)
+        factor = Laurent(qside.QU, {(e, 0): c})
+        scalar = Qq.embed(c) * Qq.gen ** e
+        assert to_qqu(a.scale_var(factor)) == to_qqu(a).scale_var(scalar)
+
+    def test_factor_must_be_a_monomial_free_of_the_variable(self):
+        q, u = qside.QU.gens
+        with pytest.raises(ArithmeticError):
+            u.scale_var(q + qside.QU.one)
+        with pytest.raises(ValueError):
+            u.scale_var(q * u)
+
+
 class TestRing:
     def test_generators_and_constants(self):
         q, u, v = QUV.gens
@@ -192,16 +188,9 @@ class TestFusedElementAgainstTower:
     def test_newton_twisted_entries(self):
         rep = qside.QRep(2, [rational(1), rational(3)])
         q, u, _ = QUV.gens
-        fast = qside.bethe(rep, "newton", 2, True, ring=QUV, q=q, u=u, cleared=True)
+        fast = qside.bethe(rep, "newton", 2, True, ring=QUV, q=q, u=u)
         ref = qside.bethe(
-            rep,
-            "newton",
-            2,
-            True,
-            ring=FUV,
-            q=TOWER_GENS[0],
-            u=TOWER_GENS[1],
-            cleared=True,
+            rep, "newton", 2, True, ring=FUV, q=TOWER_GENS[0], u=TOWER_GENS[1]
         )
         assert not ref.is_zero()
         assert fast.map_entries(to_tower, ring=FUV) == ref

@@ -5,7 +5,11 @@ import pytest
 from triggaudin.rationals import QQ, rational
 from triggaudin.ratfun import FracField
 from triggaudin.rmatrices import r_quantum_scaled
+from triggaudin.series import SeriesRing, TruncSeries
 from triggaudin import qside, suites
+
+import tower_reference
+from tower_reference import Q, U, Qqu, to_tower
 
 
 def qrep22():
@@ -79,6 +83,55 @@ class TestTracedProduct:
                 assert qside.trace_identity_pi(m, subset, 2)
 
 
+class TestAgainstTower:
+    """The cleared Laurent products against the Q(q)(u) tower reference."""
+
+    @staticmethod
+    def cleared(rep, m, k):
+        """(q-1)^m prod_{j<k} den(u q^{-2j}), built in the tower."""
+        out = (Q - Qqu.one) ** m
+        for j in range(k):
+            for a in rep.points:
+                out = out * (Q - U * Q ** (-2 * j - 1) / qside.embed_rational(Qqu, a))
+        return out
+
+    @pytest.mark.parametrize("with_D", [False, True])
+    def test_products_entry_by_entry(self, with_D):
+        rep = qrep22()
+        for m in (1, 2):
+            for fast_fn, ref_fn in (
+                (qside.mcal, tower_reference.mcal),
+                (qside.mcal_collapsed, tower_reference.mcal_collapsed),
+            ):
+                fast = fast_fn(rep, m, with_D)
+                ref = ref_fn(rep, m, with_D)
+                assert sorted(fast.coeffs) == sorted(ref.coeffs) == list(range(m + 1))
+                for k, t in ref.coeffs.items():
+                    factor = self.cleared(rep, m, k)
+                    assert fast.coeffs[k].map_entries(to_tower, ring=Qqu) == t.scale(
+                        factor
+                    )
+                    assert to_tower(qside.cleared_factor(rep, k)) * (
+                        Q - Qqu.one
+                    ) ** m == factor
+
+    @pytest.mark.parametrize("with_D", [False, True])
+    def test_eps_series(self, with_D):
+        rep = qrep22()
+        for m in (1, 2):
+            sring = SeriesRing("eps", qside.Qu, m)
+            fast = qside.mcal_collapsed(rep, m, with_D)
+            ref = tower_reference.mcal_collapsed(rep, m, with_D)
+            pref = (Q - Qqu.one) ** m
+            for k, t in fast.coeffs.items():
+                inv = qside.eps_expand(qside.cleared_factor(rep, k), m).invert()
+                got = t.map_entries(lambda f: qside.eps_expand(f, m) * inv, ring=sring)
+                want = ref.coeffs[k].map_entries(
+                    lambda f: tower_reference.eps_expand(f * pref, m), ring=sring
+                )
+                assert not got.is_zero() and got == want
+
+
 class TestOracleTask:
     def test_wrong_collapse_fails_with_degree_witness(self, monkeypatch):
         # negative control: the collapse replaced by the twisted product
@@ -95,27 +148,37 @@ class TestOracleTask:
         for entries in rec["witness"].values():
             assert entries and all(isinstance(v, str) for _, _, v in entries)
 
+    @pytest.mark.parametrize("with_D", [False, True])
+    def test_oracle_m3(self, with_D):
+        assert suites.task_mcal_oracle(2, ["1", "3"], 3, with_D) == (True, None)
+
 
 class TestEpsExpansion:
     def test_eps_expand_simple(self):
         # q/(q+1) around q=1: 1/2 + eps/4 - ...
-        Fu = FracField("u", qside.Qq)
-        q = Fu.embed(qside.Qq.gen)
-        f = q / (q + Fu.one)
-        s = qside.eps_expand(f, 2)
+        q = qside.QU.gens[0]
+        s = qside.eps_expand(q, 2) / qside.eps_expand(q + qside.QU.one, 2)
         assert s.coefficient(0).constant_value() == rational(1, 2)
         assert s.coefficient(1).constant_value() == rational(1, 4)
 
     def test_eps_expand_with_u(self):
         # (q u)/(1 - u) has eps-coefficients u/(1-u) at orders 0 and 1
-        Fu = FracField("u", qside.Qq)
-        q = Fu.embed(qside.Qq.gen)
-        f = q * Fu.gen / (Fu.one - Fu.gen)
-        s = qside.eps_expand(f, 1)
+        q, u = qside.QU.gens
+        s = qside.eps_expand(q * u, 1) / qside.eps_expand(qside.QU.one - u, 1)
         target = FracField("u", QQ)
         base = target.gen / (target.one - target.gen)
         assert s.coefficient(0) == base
         assert s.coefficient(1) == base
+
+    def test_negative_powers(self):
+        # q^-2 u^-1 = u^-1 (1 + eps)^-2 = u^-1 (1 - 2 eps + 3 eps^2 - 4 eps^3)
+        q, u = qside.QU.gens
+        s = qside.eps_expand(q ** -2 * u ** -1, 3)
+        target = FracField("u", QQ)
+        inv_u = target.one / target.gen
+        assert s == TruncSeries(
+            "eps", target, 3, [inv_u.scale(QQ.from_int(c)) for c in (1, -2, 3, -4)]
+        )
 
     def test_shift_operator_on_powers(self):
         # delta u^p = u^p q^{-2p} delta: the derivative expansion of
@@ -136,8 +199,6 @@ class TestEpsExpansion:
                     contrib = series.scale(d)
                     acc = contrib if acc is None else acc + contrib
                 # expected: u^p (1+eps)^{-2kp}
-                from triggaudin.series import TruncSeries
-
                 binom = [QQ.one]
                 for t in range(1, order + 1):
                     binom.append(
@@ -166,6 +227,23 @@ class TestClassicalLimit:
         rep = qrep22()
         assert qside.classical_limit_compare(rep, 2)["pass"]
         assert qside.classical_limit_compare(rep, 2, with_D=True)["pass"]
+
+    def test_m4_twisted(self):
+        assert suites.task_qlimit(2, ["1", "3"], 4, True) == (True, None)
+
+    def test_twisted_product_fails_with_witness(self, monkeypatch):
+        # negative control: the collapse replaced by the twisted product;
+        # m = 2 because at m = 1 the twist does not show at eps^1
+        collapsed = qside.mcal_collapsed
+
+        def twisted(rep, m, with_D=False):
+            return collapsed(rep, m, True)
+
+        monkeypatch.setattr(qside, "mcal_collapsed", twisted)
+        args = {"N": 2, "points": ["1", "3"], "m": 2, "with_D": False}
+        (rec,) = suites.run_tasks([("qlimit", "claim", "task_qlimit", args)])
+        assert rec["status"] == "fail"
+        assert rec["witness"] and all(w["diff"] for w in rec["witness"])
 
     def test_bad_route_rejected(self):
         with pytest.raises(ValueError):
