@@ -1,8 +1,8 @@
 """Exact-arithmetic engine for families of commuting operators built
 from trigonometric R-matrices on tensor powers of C^N.
 
-Everything is computed over exact fields (Q, Q(q), rational functions,
-truncated series); there is no floating point anywhere.  See the
+Everything is computed over exact rings (Q, Q(u), Laurent polynomials in
+q, u, v, truncated series); there is no floating point anywhere.  See the
 README for the layout and the ``triggaudin`` command-line entry point.
 """
 

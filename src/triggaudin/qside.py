@@ -1,4 +1,4 @@
-"""q-deformed verification layer over the symbolic field Q(q).
+"""q-deformed verification layer over Laurent rings in q and eps-series at q = 1.
 
 Everything here lives in R-matrix evaluation representations, given by
 the same :class:`~triggaudin.gaudin.Sites` as the classical side: the
@@ -20,9 +20,9 @@ exactly when it holds there, and the cleared scalar factor is the same
 nonzero element on both sides of every comparison.  The classical limit
 puts q = 1 + eps into the Laurent entries and divides by the eps-series
 of the cleared factor (:func:`cleared_factor`), whose eps^0 term is a
-unit in Q(u).  Only the central-term check stays on x-series over Q(q):
-its normalizer coefficients have the denominator q^(2Nk) - 1, which
-vanishes at q = 1.
+unit in Q(u).  The central-term check works on x-series over eps-series
+over Q: the normalizer's denominators q^(2Nk) - 1 = eps * unit divide
+out exactly there.
 
 Convention note: the eps^1 coefficient of L+(u) differs from the
 classical current sum_i r_{0i}(u/a_i) by the central scalar series
@@ -43,14 +43,12 @@ from .tensor import AuxTensor, Space, aux_leg, chain
 from .weyl import QDiffOp
 from .gaudin import Qu, Sites, ThetaContext
 from .rmatrices import (
-    Qq,
     adjacent_q_chain,
     antisymmetrizer,
     diag_shift_d,
     f_series,
     permutation,
     q_permutation,
-    r_quantum,
     r_quantum_scaled,
 )
 
@@ -245,7 +243,7 @@ def mcal_collapsed(rep, m, with_D=False):
     return total
 
 
-def trace_identity_pi(m, subset, N, numeric_q=None):
+def trace_identity_pi(m, subset, N):
     """Partial-trace collapse of the permutation sandwich.
 
     The sandwich is the product C_{m-1} ... C_1 with C_a the
@@ -258,28 +256,22 @@ def trace_identity_pi(m, subset, N, numeric_q=None):
     subset = tuple(sorted(subset))
     if any(a < 1 or a > m for a in subset):
         raise ValueError("subset out of range")
-    if numeric_q is None:
-        ring = Qq
-        q = Qq.gen
-    else:
-        ring = QQ
-        q = numeric_q
     names = ["t%d" % a for a in range(1, m + 1)]
     space = Space(N, [aux_leg(nm) for nm in names])
-    pq = q_permutation(N, ring, q)
-    pp = permutation(N, ring)
+    pq = q_permutation(N, QU, QU.gens[0])
+    pp = permutation(N, QU)
     inset = set(subset)
     factors = [
         (pq if a in inset else pp, names[a - 1], names[a]) for a in range(m - 1, 0, -1)
     ]
-    sandwich = chain(space, ring, factors)
+    sandwich = chain(space, QU, factors)
     if not subset:
-        return sandwich.trace() == ring.from_int(N)
+        return sandwich.trace() == QU.from_int(N)
     complement = [nm for i, nm in enumerate(names, start=1) if i not in inset]
     traced = sandwich.partial_trace(complement)
     legs = ["t%d" % a for a in subset]
     steps = range(len(subset) - 1, 0, -1)
-    rhs = chain(traced.space, ring, [(pq, legs[t - 1], legs[t]) for t in steps])
+    rhs = chain(traced.space, QU, [(pq, legs[t - 1], legs[t]) for t in steps])
     return (traced - rhs).is_zero()
 
 
@@ -342,7 +334,7 @@ def stirling2(n, k):
     return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
 
 
-def delta_power_in_derivatives(k, order, target):
+def delta_power_in_derivatives(k, order):
     """delta^k as sum_i c_i(u, eps) d_u^i up to the eps order.
 
     delta substitutes u -> u q^{-2}, so on functions of u it acts as
@@ -351,29 +343,25 @@ def delta_power_in_derivatives(k, order, target):
     """
     log1p = TruncSeries(
         "eps",
-        target,
+        Qu,
         order,
-        [target.zero]
-        + [
-            target.from_int((-1) ** (t + 1)) / target.from_int(t)
-            for t in range(1, order + 1)
-        ],
+        [Qu.zero]
+        + [Qu.from_int((-1) ** (t + 1)) / Qu.from_int(t) for t in range(1, order + 1)],
     )
-    w = log1p.scale(target.from_int(-2 * k))
-    upow = target.one
-    wj = TruncSeries.one("eps", target, order)
+    w = log1p.scale(Qu.from_int(-2 * k))
+    wj = TruncSeries.one("eps", Qu, order)
     terms = {}
     for j in range(order + 1):
         if j > 0:
             wj = wj * w
-        inv_fact = target.one / target.from_int(factorial(j))
+        inv_fact = Qu.one / Qu.from_int(factorial(j))
         for i in range(j + 1):
             s = stirling2(j, i)
             if not s:
                 continue
-            contrib = wj.scale(inv_fact * target.from_int(s))
-            terms[i] = terms.get(i, TruncSeries.zero("eps", target, order)) + contrib
-    u = target.gen
+            contrib = wj.scale(inv_fact * Qu.from_int(s))
+            terms[i] = terms.get(i, TruncSeries.zero("eps", Qu, order)) + contrib
+    u = Qu.gen
     out = {}
     for i, series in terms.items():
         scaled = series.scale(u ** i)
@@ -396,7 +384,7 @@ def classical_limit_current(rep):
     )
 
 
-def classical_limit_compare(rep, m, with_D=False, route="collapsed"):
+def classical_limit_compare(rep, m, with_D=False):
     """Match the eps^m coefficient of the q-side product with the
     classical recursion.
 
@@ -404,18 +392,14 @@ def classical_limit_compare(rep, m, with_D=False, route="collapsed"):
     product in eps, convert delta powers to u-derivatives, keep the
     eps^m coefficient.  The cleared delta^k entries are expanded from
     the Laurent ring and multiplied by the inverse eps-series of
-    :func:`cleared_factor`.  ``route`` picks how that product is built
-    ("collapsed" binomial form, much faster, or the literal
-    "recursion"); the two are checked equal independently by the
-    oracle comparison in the q-side suite.
+    :func:`cleared_factor`.  The product is built in the binomial
+    collapse form; its equality with the literal recursion is checked
+    independently by the oracle comparison in the q-side suite.
     RHS: the traced recursion built from the eps^1-coefficient current,
     with the diagonal rho shift exactly when D was inserted.
     """
-    if route not in ("collapsed", "recursion"):
-        raise ValueError("unknown route %r" % route)
-    target = Qu
-    T = (mcal if route == "recursion" else mcal_collapsed)(rep, m, with_D)
-    sring = SeriesRing("eps", target, m)
+    T = mcal_collapsed(rep, m, with_D)
+    sring = SeriesRing("eps", Qu, m)
     lhs = {}
     qspace = rep.quantum_space()
     for k in sorted(T.coeffs):
@@ -423,11 +407,11 @@ def classical_limit_compare(rep, m, with_D=False, route="collapsed"):
         tensor = T.coeffs[k].map_entries(
             lambda f: eps_expand(f, m) * inv, ring=sring
         )
-        for i, coeff in delta_power_in_derivatives(k, m, target).items():
+        for i, coeff in delta_power_in_derivatives(k, m).items():
             contrib = tensor.map_entries(lambda s: s * coeff)
             lhs[i] = lhs[i] + contrib if i in lhs else contrib
     lhs_m = {
-        i: t.map_entries(lambda s: s.coefficient(m), ring=target)
+        i: t.map_entries(lambda s: s.coefficient(m), ring=Qu)
         for i, t in lhs.items()
     }
     lhs_m = {i: t for i, t in lhs_m.items() if not t.is_zero()}
@@ -437,16 +421,29 @@ def classical_limit_compare(rep, m, with_D=False, route="collapsed"):
     def factory(space, aux):
         return Lc.place(space, aux, *rep.site_names())
 
-    ctx = ThetaContext(rep.N, target, qspace.legs, factory, target.gen)
+    ctx = ThetaContext(rep.N, Qu, qspace.legs, factory, Qu.gen)
     rhs = ctx.theta_mbar(m, shifted=with_D)
     keys = sorted(set(lhs_m) | set(rhs.coeffs))
     mismatches = []
     for i in keys:
-        a = lhs_m.get(i, AuxTensor.zero(qspace, target))
+        a = lhs_m.get(i, AuxTensor.zero(qspace, Qu))
         b = rhs.coefficient(i)
         if not (a - b).is_zero():
             mismatches.append((i, (a - b).sorted_entries()))
     return {"pass": not mismatches, "mismatches": mismatches}
+
+
+def _eps_order(x_order):
+    """The eps order of the normalizer checks: each f_k loses one order
+    to q^(2Nk) - 1 = eps * unit and the central term two more to eps^2,
+    and its eps^0 coefficient at x^x_order must survive."""
+    return x_order + 2
+
+
+def central_term(N, c, k):
+    """The closed form 4ck (P - 1/N) of the x^k central term, over Q."""
+    P = permutation(N, QQ)
+    return (P - AuxTensor.identity(P.space, QQ).scale(QQ.one / N)).scale(4 * c * k)
 
 
 def prop_central_term_check(N, c, x_order):
@@ -454,39 +451,32 @@ def prop_central_term_check(N, c, x_order):
 
     Verifies order-by-order in x that
     (Rbar(x q^c) - Rbar(x q^{-c})) / (q-1)^2 at q = 1 equals
-    4 c x / (1-x)^2 (P - 1/N).
+    4 c x / (1-x)^2 (P - 1/N), with Rbar = f R an x-series over eps-series
+    at q = 1 + eps; x -> x q^(+-c) scales x^k by q^(+-ck).
     """
-    SR = SeriesRing("x", Qq, x_order)
-    q = SR.embed(Qq.gen)
-    R = r_quantum(N, SR, q, SR.gen)
-    f = f_series(N, x_order)
-    Rbar = R.scale(f)
-    qc = Qq.gen ** c
-    qmc = Qq.gen ** (-c)
-    plus = Rbar.map_entries(lambda s: s.scale_var(qc))
-    minus = Rbar.map_entries(lambda s: s.scale_var(qmc))
-    diff = plus - minus
-    denom = (Qq.gen - Qq.one) ** 2
-    P = permutation(N, QQ)
-    space = P.space
-    ident = AuxTensor.identity(space, QQ)
-    target = P - ident.scale(QQ.one / QQ.from_int(N))
+    E = SeriesRing("eps", QQ, _eps_order(x_order))
+    q = E.one + E.gen
+    SR = SeriesRing("x", E, x_order)
+    Q, x = SR.embed(q), SR.gen
+    # f R is the cleared R-matrix times the one scalar f / (q - x/q)
+    Rbar = r_quantum_scaled(N, SR, Q, x).scale(f_series(N, E, q, x_order) / (Q - x / Q))
     for k in range(x_order + 1):
-        lhs = diff.map_entries(
-            lambda s: (s.coefficient(k) / denom).eval(QQ.one), ring=QQ
+        w = q ** (c * k) - q ** (-c * k)
+        lhs = Rbar.map_entries(
+            lambda s: (s.coefficient(k) * w / E.gen ** 2).coefficient(0), ring=QQ
         )
-        rhs = target.scale(QQ.from_int(4 * c * k))
-        if not (lhs - rhs).is_zero():
+        if not (lhs - central_term(N, c, k)).is_zero():
             return False
     return True
 
 
 def f_series_first_order_check(N, order):
-    """First eps-order of every f-series coefficient is 2(N-1)/N."""
-    f = f_series(N, order)
+    """Every f-series coefficient f_k, k >= 1, is 2(N-1)/N eps + O(eps^2)."""
+    E = SeriesRing("eps", QQ, _eps_order(order))
+    f = f_series(N, E, E.one + E.gen, order)
     want = QQ.from_int(2 * (N - 1)) / QQ.from_int(N)
     for k in range(1, order + 1):
-        exp = f.coefficient(k).expand_at(QQ.one, 0, 1)
-        if exp[0] or exp[1] != want:
+        fk = f.coefficient(k)
+        if fk.coefficient(0) or fk.coefficient(1) != want:
             return False
     return True

@@ -2,14 +2,14 @@
 
 All builders return sparse :class:`~triggaudin.tensor.AuxTensor` values
 over an explicitly supplied coefficient ring, so the same formulas work
-over Q, Q(q), Q(u), Q(q)(u) or truncated-series rings.  Index
+over Q, Q(u), Laurent polynomial rings in q, u, v or truncated-series
+rings; the q-dependent builders take q as an argument.  Index
 conventions are 1-based with sign(0) = 0.
 """
 
 import itertools
 
-from .ratfun import FracField, PoleError
-from .rationals import QQ
+from .ratfun import PoleError
 from .series import TruncSeries
 from .tensor import (
     AuxTensor,
@@ -19,9 +19,6 @@ from .tensor import (
     single_leg_matrix,
     two_leg_tensor,
 )
-
-# the scalar tower used throughout the q-side
-Qq = FracField("q", QQ)
 
 
 def sign(n):
@@ -295,48 +292,33 @@ def _cycle_chain(space, ring, t, indices):
     return chain(space, ring, [(t, names[b - 1], names[a - 1]) for a, b in pairs])
 
 
-def f_series(N, order, base=None):
-    """The normalizing series f(x) of the R-matrix, over Q(q).
+def f_series(N, ring, q, order):
+    """The normalizing series f(x) of the R-matrix, over a ring containing q.
 
-    Coefficients f_k(q) are determined recursively by the functional
+    Coefficients f_k are determined recursively by the functional
     equation f(x q^{2N}) = f(x) (1-xq^2)(1-xq^{2N-2}) /
-    ((1-x)(1-xq^{2N})), with f_0 = 1.  Generic q is required: the
-    recursion divides by q^{2Nk} - 1.
+    ((1-x)(1-xq^{2N})), with f_0 = 1.  The recursion divides by
+    q^{2Nk} - 1; over eps-series at q = 1 + eps that is eps times a
+    unit, so each f_k is known to one eps order less than f_{k-1}.
     """
-    if base is None:
-        base = Qq
     if order < 0:
         raise ValueError("order must be >= 0")
-    q = base.gen
-    one = base.one
-    # g(x) = (1-xq^2)(1-xq^{2N-2}) / ((1-x)(1-xq^{2N})) as an x-series:
-    # numerator polynomial coefficients times expansion of the
-    # geometric denominators.
-    g = [one]
-    q2 = q * q
-    qa = q ** (2 * N - 2)
+    one = ring.one
+
+    def lin(c):
+        return TruncSeries("x", ring, order, [one, -c])
+
+    # f(x q^{2N}) = f(x) g(x) with g_0 = 1, so comparing x^k coefficients
+    # gives f_k (q^{2Nk} - 1) = sum_{j<k} f_j g_{k-j}
     qb = q ** (2 * N)
-    for k in range(1, order + 1):
-        # 1/(1-x) * 1/(1-x q^{2N}) has x^k coefficient sum_{j<=k} q^{2Nj}
-        acc = base.zero
-        for j in range(k + 1):
-            acc = acc + qb ** j
-        g.append(acc)
-    num = [one, -(q2 + qa), q2 * qa]
-    full = [base.zero] * (order + 1)
-    for i, c in enumerate(num):
-        if i > order:
-            break
-        for k in range(order + 1 - i):
-            full[i + k] = full[i + k] + c * g[k]
-    # recursion: f_k (q^{2Nk} - 1) = sum_{j<k} f_j g*_{k-j}
+    g = lin(q * q) * lin(q ** (2 * N - 2)) / (lin(one) * lin(qb))
     f = [one]
     for k in range(1, order + 1):
-        acc = base.zero
+        acc = ring.zero
         for j in range(k):
-            acc = acc + f[j] * full[k - j]
+            acc = acc + f[j] * g.coefficient(k - j)
         denom = qb ** k - one
         if not denom:
             raise PoleError("f-series requires generic q (q^{2Nk} != 1)")
         f.append(acc / denom)
-    return TruncSeries("x", base, order, f)
+    return TruncSeries("x", ring, order, f)

@@ -7,6 +7,10 @@ zero, so precision loss in (q-1)-expansions is never silent.
 
 The coefficient ring may be noncommutative (PBW elements); series
 multiplication preserves factor order.
+
+Trailing falsy coefficients are dropped and read back as zero, so an
+x-series coefficient that is an eps-series with no nonzero known term
+forgets its truncation order and reads as an exact zero, not an error.
 """
 
 
@@ -156,7 +160,30 @@ class TruncSeries:
         return TruncSeries(self.var, self.base, self.order, out)
 
     def __truediv__(self, other):
-        return self * other.invert()
+        """Quotient by other = var^v * unit when self vanishes to order v,
+        known to v orders less; any other divisor with a zero constant
+        term raises ZeroDivisionError."""
+        self._check(other)
+        v = next((k for k, c in enumerate(other.coeffs) if c), 0)
+        if any(self.coefficient(k) for k in range(v)):
+            raise ZeroDivisionError("dividend does not vanish to order %d" % v)
+        num = TruncSeries(self.var, self.base, self.order - v, self.coeffs[v:])
+        den = TruncSeries(self.var, self.base, other.order - v, other.coeffs[v:])
+        return num * den.invert()
+
+    def __pow__(self, k):
+        """k-th power; a negative power inverts first."""
+        if k < 0:
+            return self.invert() ** -k
+        out = TruncSeries.one(self.var, self.base, self.order)
+        b = self
+        while k:
+            if k & 1:
+                out = out * b
+            k >>= 1
+            if k:
+                b = b * b
+        return out
 
     def __repr__(self):
         parts = [

@@ -18,7 +18,6 @@ from . import gaudin, pbw, qside
 from .rationals import QQ, parse_rational
 from .reports import build_report, error_record, record, tensor_triplets
 from .rmatrices import (
-    Qq,
     permutation,
     r_classical,
     r_quantum_scaled,
@@ -116,21 +115,23 @@ def task_quantum_ybe(N, count):
     """R12(x) R13(xy) R23(y) = R23(y) R13(xy) R12(x) over Q(q).
 
     Uses the denominator-cleared R-matrix; both sides carry the same
-    central scalar, so the identity is unchanged.
+    central scalar, so the identity is unchanged; it is checked in qside.QU.
     """
     rng = random.Random(_SEED + 7 * N)
     space = _triple_space(N)
-    q = Qq.gen
+    ring = qside.QU
+    q = ring.gens[0]
     bad = []
     for t in range(count):
-        x = Qq.embed(_rand_rational(rng, ()))
-        y = Qq.embed(_rand_rational(rng, ()))
-        R12 = r_quantum_scaled(N, Qq, q, x).place(space, "a1", "a2")
-        R13 = r_quantum_scaled(N, Qq, q, x * y).place(space, "a1", "a3")
-        R23 = r_quantum_scaled(N, Qq, q, y).place(space, "a2", "a3")
+        x = _rand_rational(rng, ())
+        y = _rand_rational(rng, ())
+        xq, yq = (qside.embed_rational(ring, a) for a in (x, y))
+        R12 = r_quantum_scaled(N, ring, q, xq).place(space, "a1", "a2")
+        R13 = r_quantum_scaled(N, ring, q, xq * yq).place(space, "a1", "a3")
+        R23 = r_quantum_scaled(N, ring, q, yq).place(space, "a2", "a3")
         diff = R12 * R13 * R23 - R23 * R13 * R12
         if not diff.is_zero():
-            bad.append({"x": repr(x), "y": repr(y)})
+            bad.append({"x": str(x), "y": str(y)})
     return not bad, bad or None
 
 

@@ -5,6 +5,7 @@ zero-tolerance equality; each test prints a single PASS/FAIL line and
 enforces its runtime budget.
 """
 
+import hashlib
 import time
 
 from triggaudin import cli, gaudin, pbw, qside
@@ -27,6 +28,11 @@ PTS2 = (rational(1), rational(3))
 PTS3 = (rational(1), rational(3), rational(7))
 STR2 = ("1", "3")
 STR3 = ("1", "3", "7")
+
+
+# sha256 of the default ``verify --suite all`` report; a change that
+# alters any claim, id, order or verdict must update it deliberately
+REPORT_SHA256 = "bbc65de4ecf4e7ff59db46b49da6d69222f790d1edf52289dbd61289a0aebab3"
 
 
 def _points(l):
@@ -170,4 +176,5 @@ def test_criterion_12_deterministic_reports(capsys):
     cfg = cli.resolve_config(args)
     reports = [report_bytes(run_suite("all", cfg, w)) for w in (1, 2, 8)]
     ok = reports[0] == reports[1] == reports[2]
+    ok = ok and hashlib.sha256(reports[0]).hexdigest() == REPORT_SHA256
     _verdict(capsys, 12, ok, time.monotonic() - t0, None)

@@ -248,6 +248,61 @@ class TestTruncSeries:
         assert [t.coefficient(k) for k in range(3)] == [rat(1), rat(2), rat(4)]
 
 
+def _yseries(cs, order=5):
+    return TruncSeries("y", QQ, order, [rat(c) for c in cs])
+
+
+series = st.lists(coeffs, min_size=0, max_size=6).map(_yseries)
+units = st.lists(coeffs, min_size=0, max_size=5).flatmap(
+    lambda cs: st.integers(min_value=1, max_value=6).map(lambda c0: [c0] + cs)
+)
+
+
+class TestTruncSeriesDivision:
+    """Exact division by y^v * unit, and integer powers."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(series, units, st.integers(min_value=0, max_value=3))
+    def test_mul_div_roundtrip(self, a, unit, v):
+        b = _yseries([0] * v + unit)
+        q = (a * b) / b
+        assert q.order == min(a.order, b.order) - v
+        assert q == a
+
+    @settings(max_examples=60, deadline=None)
+    @given(units, units, st.integers(0, 2), st.integers(1, 2))
+    def test_non_divisible_dividend_raises(self, a_unit, b_unit, j, gap):
+        # a vanishes to order exactly j, b to order j + gap > j
+        a = _yseries([0] * j + a_unit)
+        b = _yseries([0] * (j + gap) + b_unit)
+        with pytest.raises(ZeroDivisionError):
+            a / b
+
+    def test_zero_divisor_raises(self):
+        with pytest.raises(ZeroDivisionError):
+            _yseries([1]) / _yseries([])
+
+    def test_dividend_beyond_its_order_is_a_truncation_error(self):
+        with pytest.raises(TruncationError):
+            _yseries([], order=1) / _yseries([0, 0, 0, 1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(series, st.integers(min_value=0, max_value=5))
+    def test_pow_is_repeated_product(self, a, k):
+        want = SeriesRing("y", QQ, a.order).one
+        for _ in range(k):
+            want = want * a
+        assert a ** k == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(units, st.integers(min_value=1, max_value=4))
+    def test_negative_pow_is_inverse_power(self, unit, k):
+        a = _yseries(unit)
+        assert a ** -1 == a.invert()
+        assert a ** -k == a.invert() ** k
+        assert a ** -k * a ** k == SeriesRing("y", QQ, a.order).one
+
+
 class TestTower:
     def test_bivariate_arithmetic(self):
         # Q(q)(u): coefficients are themselves rational functions

@@ -11,9 +11,8 @@ from triggaudin import qside
 from triggaudin.laurent import Laurent, LaurentRing
 from triggaudin.rationals import QQ, rational
 from triggaudin.ratfun import FracField
-from triggaudin.rmatrices import Qq
 
-from tower_reference import Qqu, lift, to_tower as to_qqu
+from tower_reference import Qq, Qqu, lift, to_tower as to_qqu
 
 QUV = qside.QUV
 FUV = FracField("v", Qqu)

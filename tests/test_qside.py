@@ -5,7 +5,7 @@ import pytest
 from triggaudin.rationals import QQ, rational
 from triggaudin.ratfun import FracField
 from triggaudin.rmatrices import r_quantum_scaled
-from triggaudin.series import SeriesRing, TruncSeries
+from triggaudin.series import SeriesRing, TruncSeries, TruncationError
 from triggaudin import qside, suites
 
 import tower_reference
@@ -187,7 +187,7 @@ class TestEpsExpansion:
         u = target.gen
         order = 3
         for k in (1, 2):
-            terms = qside.delta_power_in_derivatives(k, order, target)
+            terms = qside.delta_power_in_derivatives(k, order)
             for p in (1, 2, 3):
                 up = u ** p
                 # sum_i c_i d^i u^p as an eps-series of rational functions
@@ -218,10 +218,8 @@ class TestEpsExpansion:
 
 
 class TestClassicalLimit:
-    def test_m1_both_routes(self):
-        rep = qrep22()
-        for route in ("collapsed", "recursion"):
-            assert qside.classical_limit_compare(rep, 1, route=route)["pass"]
+    def test_m1(self):
+        assert qside.classical_limit_compare(qrep22(), 1)["pass"]
 
     def test_m2(self):
         rep = qrep22()
@@ -245,15 +243,45 @@ class TestClassicalLimit:
         assert rec["status"] == "fail"
         assert rec["witness"] and all(w["diff"] for w in rec["witness"])
 
-    def test_bad_route_rejected(self):
-        with pytest.raises(ValueError):
-            qside.classical_limit_compare(qrep22(), 1, route="fast")
-
 
 class TestNormalizedRMatrix:
     def test_central_term_small(self):
         assert qside.prop_central_term_check(2, 1, 4)
         assert qside.prop_central_term_check(2, -2, 4)
+
+    def test_wrong_closed_form_fails(self, monkeypatch):
+        # negative control: 4(c+1)k in place of 4ck
+        right = qside.central_term
+        monkeypatch.setattr(
+            qside, "central_term", lambda N, c, k: right(N, c + 1, k)
+        )
+        assert qside.prop_central_term_check(2, 1, 4) is False
+        assert qside.prop_central_term_check(3, -3, 4) is False
+
+    def test_constant_normalizer_fails(self, monkeypatch):
+        # negative control: f replaced by the constant series 1
+        monkeypatch.setattr(
+            qside,
+            "f_series",
+            lambda N, ring, q, order: TruncSeries.one("x", ring, order),
+        )
+        assert qside.prop_central_term_check(2, 1, 4) is False
+        assert qside.prop_central_term_check(3, 1, 4) is False
+
+    def test_one_eps_order_short_does_not_pass(self, monkeypatch):
+        # precision guard: at eps order x_order + 1 the x^x_order
+        # coefficient of Rbar is known only to eps^1, and nothing of it
+        # is left to read once divided by eps^2.  A coefficient with no
+        # nonzero known term would instead be dropped as zero (see the
+        # series module) and read as 0 in place of 4c x_order; either
+        # way the check must not pass
+        monkeypatch.setattr(qside, "_eps_order", lambda x_order: x_order + 1)
+        for N, c in ((2, 1), (3, -3)):
+            try:
+                ok = qside.prop_central_term_check(N, c, 4)
+            except TruncationError:
+                ok = False
+            assert not ok
 
     def test_f_series_first_order(self):
         for N in (2, 3, 4, 5):

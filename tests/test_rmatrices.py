@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from triggaudin.rationals import QQ, rational
+from triggaudin import suites
+from triggaudin.rationals import QQ, parse_rational, rational
 from triggaudin.ratfun import FracField, PoleError
 from triggaudin.rmatrices import (
-    Qq,
     adjacent_q_chain,
     antisymmetrizer,
     diag_shift_d,
@@ -26,7 +26,10 @@ from triggaudin.rmatrices import (
     tc,
     tc_bar,
 )
+from triggaudin.series import SeriesRing, TruncSeries
 from triggaudin.tensor import AuxTensor, Space, aux_leg
+
+from tower_reference import Qq
 
 
 def triple(N):
@@ -138,6 +141,23 @@ class TestQuantumAxioms:
             R23 = on(r_quantum_scaled(N, Qq, q, y), space, 2, 3)
             assert (R12 * R13 * R23 - R23 * R13 * R12).is_zero()
 
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_shifted_argument_fails_ybe_task(self, N, monkeypatch):
+        # negative control: every R-matrix evaluated at x + 1
+        scaled = suites.r_quantum_scaled
+
+        def shifted(n, ring, q, x, legs=None):
+            return scaled(n, ring, q, x + ring.one, legs)
+
+        monkeypatch.setattr(suites, "r_quantum_scaled", shifted)
+        args = {"N": N, "count": 5}
+        (rec,) = suites.run_tasks([("ybe", "claim", "task_quantum_ybe", args)])
+        assert rec["status"] == "fail"
+        assert len(rec["witness"]) == 5
+        for w in rec["witness"]:
+            assert set(w) == {"x", "y"}
+            assert all(str(parse_rational(v)) == v for v in w.values())
+
     def test_scaled_matches_plain(self):
         N = 2
         q = Qq.gen
@@ -202,6 +222,15 @@ class TestPermutations:
                 # negative control: away from q = 1 the chains differ
                 assert plain != adjacent_q_chain(space, QQ, rational(2), positions)
 
+    def test_wrong_cycle_target_fails_trace_task(self, monkeypatch):
+        # negative control: the off-diagonal flip replaced by the skew tensor
+        monkeypatch.setattr(suites, "tc_bar", suites.tc)
+        for N in (2, 3):
+            args = {"N": N, "k": 3}
+            (rec,) = suites.run_tasks([("trace", "claim", "task_trace_cycle", args)])
+            assert rec["status"] == "fail"
+            assert rec["witness"]
+
     def test_antisymmetrizer_idempotent(self):
         N = 2
         A = antisymmetrizer(2, N, Qq, Qq.gen)
@@ -234,11 +263,9 @@ class TestNormalizerSeries:
         # f(x q^{2N}) (1-x)(1-x q^{2N}) = f(x) (1-xq^2)(1-x q^{2N-2})
         N = 2
         order = 5
-        f = f_series(N, order)
         q = Qq.gen
+        f = f_series(N, Qq, q, order)
         lhs = f.scale_var(q ** (2 * N))
-        # polynomial factors as truncated series
-        from triggaudin.series import TruncSeries
 
         def lin(c):
             return TruncSeries("x", Qq, order, [Qq.one, -c])
@@ -248,5 +275,21 @@ class TestNormalizerSeries:
         assert left == right
 
     def test_constant_term(self):
-        f = f_series(3, 3)
+        f = f_series(3, Qq, Qq.gen, 3)
         assert f.coefficient(0) == Qq.one
+
+    @pytest.mark.parametrize("N", [2, 3, 4, 5])
+    def test_eps_series_is_the_expansion_at_one(self, N):
+        # f over eps-series at q = 1 + eps against the Q(q) instance
+        # expanded at q = 1: no pole there, and equal eps-coefficients on
+        # the eps window each f_k keeps (f_k loses k orders of E = 6)
+        order = 4
+        E = SeriesRing("eps", QQ, order + 2)
+        f_eps = f_series(N, E, E.one + E.gen, order)
+        f_q = f_series(N, Qq, Qq.gen, order)
+        for k in range(order + 1):
+            fk = f_eps.coefficient(k)
+            assert fk.order == E.order - k
+            exp = f_q.coefficient(k).expand_at(QQ.one, -3, 2)
+            assert exp[:3] == [QQ.zero] * 3
+            assert exp[3:] == [fk.coefficient(t) for t in range(3)]

@@ -4,9 +4,10 @@ import pytest
 
 from triggaudin.rationals import QQ, rational
 from triggaudin.ratfun import FracField
-from triggaudin.rmatrices import Qq
 from triggaudin.tensor import AuxTensor, Space, aux_leg
 from triggaudin.weyl import DiffOp, QDiffOp
+
+from tower_reference import Qq
 
 F = FracField("u", QQ)
 SP = Space(2, [aux_leg("a")])

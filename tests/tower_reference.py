@@ -1,5 +1,8 @@
 """The q-side traced products on the Q(q)(u) tower, as a test reference.
 
+The package itself has no Q(q): tests that check an identity over the
+field, or compare against it, take :data:`Qq` from here.
+
 Here the currents carry their R-matrix denominators, every entry is a
 reduced rational function in the tower Q(q)(u), and the products keep
 the (q - 1)^(-m) prefactor.  :mod:`triggaudin.qside` builds the same
@@ -16,7 +19,6 @@ from triggaudin.poly import UniPoly
 from triggaudin.rationals import QQ
 from triggaudin.ratfun import FracField, RatFun
 from triggaudin.rmatrices import (
-    Qq,
     adjacent_q_chain,
     diag_shift_d,
     permutation,
@@ -27,7 +29,8 @@ from triggaudin.series import TruncSeries
 from triggaudin.tensor import AuxTensor, chain
 from triggaudin.weyl import QDiffOp
 
-# the field of the traced products' coefficients: Q(q)(u)
+# the field Q(q), and that of the traced products' coefficients: Q(q)(u)
+Qq = FracField("q", QQ)
 Qqu = FracField("u", Qq)
 Q = Qqu.embed(Qq.gen)
 U = Qqu.gen
