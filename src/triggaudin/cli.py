@@ -117,10 +117,10 @@ def resolve_config(args):
         raise UsageError(
             "%d points given for %d sites" % (len(values), cfg["sites"])
         )
-    if any(not v for v in values):
-        raise UsageError("evaluation points must be nonzero")
-    if len(set(values)) != len(values):
-        raise UsageError("evaluation points must be pairwise distinct")
+    try:
+        gaudin.Sites(cfg["n"], values)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     if cfg["suite"] not in SUITE_NAMES:
         raise UsageError(
             "unknown suite %r (choose from %s)" % (cfg["suite"], ", ".join(SUITE_NAMES))

@@ -14,9 +14,12 @@ routes build the same differential operators theta_m:
 Both trace as they go: auxiliary leg t_a is traced out as soon as step a
 is done with it, so no operator ever lives on more than two auxiliary
 legs and the working space has dimension N^(2+l) for l sites, not
-N^(m+l).  Both are generic over the coefficient ring through
-:class:`ThetaContext` so the symbolic mode-algebra layer and the
-classical limit of the q-side reuse them verbatim.
+N^(m+l).  Both live on :class:`ThetaContext`, which is built from the
+current alone, one tensor with the auxiliary leg first and the quantum
+legs after it, over any coefficient ring whose generator is u.  So the
+symbolic mode-algebra layer (a one-leg current of u-series) and the
+classical limit of the q-side (the eps^1 coefficient of the q-current)
+reuse both routes verbatim.
 
 :class:`Sites` holds the sites of a representation (N and the points);
 the q-side uses the same class with its own Laurent rings.
@@ -83,19 +86,14 @@ class Sites:
 GaudinRep = Sites
 
 
-def represent_current(rep, space=None, aux="z0"):
-    """L(u) = sum_i r_{0i}(u/a_i) with auxiliary leg ``aux``.
-
-    When ``space`` is given it must contain ``aux`` and all site legs;
-    the result is embedded there (identity on any extra legs).
-    """
+def represent_current(rep):
+    """L(u) = sum_i r_{0i}(u/a_i) on the auxiliary leg z0 and the site legs."""
     u = Qu.gen
-    if space is None:
-        space = rep.current_space(aux)
+    space = rep.current_space()
     out = AuxTensor.zero(space, Qu)
     for i, a in enumerate(rep.points):
         r = r_classical(rep.N, Qu, u.scale(QQ.one / a))
-        out = out + r.place(space, aux, "s%d" % (i + 1))
+        out = out + r.place(space, "z0", "s%d" % (i + 1))
     return out
 
 
@@ -124,9 +122,10 @@ def current_entry(current, aux, i, j):
 class ThetaContext:
     """Shared recipe for both theta routes, generic over the ring.
 
-    ``current_factory(space, aux_name)`` must return the matrix current
-    embedded in ``space`` on the auxiliary leg ``aux_name``; ``u_elt``
-    is the ring element playing the role of u in 2u d/du.
+    ``current`` is the matrix current as one tensor: its first leg is
+    the auxiliary leg, the legs after it are the quantum legs, and its
+    ring is the coefficient ring, whose generator plays the role of u
+    in 2u d/du.  N, the ring and the quantum legs are read off it.
 
     Both routes trace as they go.  Auxiliary leg t_a is touched by
     nothing after step a, and tr_a(A X B) = A tr_a(X) B when A and B do
@@ -137,18 +136,19 @@ class ThetaContext:
     ``work`` with its t_{a+1} renamed t_a for the next step.
     """
 
-    def __init__(self, N, ring, quantum_legs, current_factory, u_elt):
-        self.N = N
-        self.ring = ring
-        self.quantum_legs = list(quantum_legs)
-        self.current_factory = current_factory
-        self.u_elt = u_elt
+    def __init__(self, current):
+        self.current = current
+        self.N = current.space.N
+        self.ring = current.ring
+        self.quantum_legs = list(current.space.legs[1:])
+        self._quantum_names = [leg.name for leg in self.quantum_legs]
 
     def script_l(self, space, aux, shifted):
-        """The matrix differential operator 2u d/du [- rho] - current."""
-        two_u = self.ring.from_int(2) * self.u_elt
+        """The matrix differential operator 2u d/du [- rho] - current,
+        with the current's auxiliary leg on ``aux`` of ``space``."""
+        two_u = self.ring.from_int(2) * self.ring.gen
         lead = AuxTensor.scalar(space, self.ring, two_u)
-        c0 = -self.current_factory(space, aux)
+        c0 = -self.current.place(space, aux, *self._quantum_names)
         if shifted:
             rho = diag_shift_rho(self.N, self.ring)
             c0 = c0 - rho.place(space, aux)
@@ -161,7 +161,7 @@ class ThetaContext:
 
     def _lift(self, X, work):
         """X on (tb, quantum legs) as an operator on ``work`` with tb -> ta."""
-        return X.place(work, "ta", *[leg.name for leg in self.quantum_legs])
+        return X.place(work, "ta", *self._quantum_names)
 
     def _pair(self, tensor, work):
         """A two-leg tensor on the auxiliary legs (ta, tb) of ``work``."""
@@ -221,11 +221,7 @@ class ThetaContext:
 
 def rep_context(rep):
     """ThetaContext for the evaluation representation."""
-
-    def factory(space, aux):
-        return represent_current(rep, space=space, aux=aux)
-
-    return ThetaContext(rep.N, Qu, rep.quantum_space().legs, factory, Qu.gen)
+    return ThetaContext(represent_current(rep))
 
 
 def theta_generating(rep, m, shifted=False):
@@ -234,6 +230,18 @@ def theta_generating(rep, m, shifted=False):
 
 def theta_mbar(rep, m, shifted=False):
     return rep_context(rep).theta_mbar(m, shifted)
+
+
+def signed_tail(L):
+    """sum_{ij} sign(i-j) L_ij L_ji of a current on the auxiliary leg z0."""
+    out = AuxTensor.zero(L.space.drop(["z0"]), L.ring)
+    for i in range(1, L.space.N + 1):
+        for j in range(1, L.space.N + 1):
+            s = sign(i - j)
+            if s:
+                term = current_entry(L, "z0", i, j) * current_entry(L, "z0", j, i)
+                out = out + term.scale(L.ring.from_int(s))
+    return out
 
 
 def explicit_theta(rep, m, shifted=False):
@@ -275,47 +283,21 @@ def explicit_theta(rep, m, shifted=False):
         )
     # m == 3: cube of the one-leg matrix differential operator, traced,
     # plus the signed quadratic tail.
-    cspace = rep.current_space()
-    Lfull = represent_current(rep, space=cspace)
-    script = DiffOp(
-        cspace,
-        F,
-        {
-            1: AuxTensor.scalar(cspace, F, F.from_int(2) * u),
-            0: -Lfull,
-        },
-    )
+    script = ThetaContext(L).script_l(L.space, "z0", False)
     cube = (script * script * script).partial_trace(["z0"])
-    tail = AuxTensor.zero(qspace, F)
-    for i in range(1, N + 1):
-        for j in range(1, N + 1):
-            s = sign(i - j)
-            if s == 0:
-                continue
-            term = current_entry(Lfull, "z0", i, j) * current_entry(Lfull, "z0", j, i)
-            tail = tail + term.scale(F.from_int(s))
-    return cube + DiffOp(qspace, F, {0: tail})
+    return cube + DiffOp(qspace, F, {0: signed_tail(L)})
 
 
 def closing_series(rep):
     """tr L^3 - 2u tr(L L') + sum_{ij} sign(j-i) L_ij L_ji as one tensor."""
-    F = Qu
-    u = F.gen
-    cspace = rep.current_space()
-    L = represent_current(rep, space=cspace)
+    L = represent_current(rep)
     Lp = L.map_entries(lambda f: f.derivative())
-    out = (L * L * L).partial_trace(["z0"]) - (L * Lp).partial_trace(["z0"]).scale(
-        F.from_int(2) * u
+    two_u = Qu.from_int(2) * Qu.gen
+    return (
+        (L * L * L).partial_trace(["z0"])
+        - (L * Lp).partial_trace(["z0"]).scale(two_u)
+        - signed_tail(L)
     )
-    N = rep.N
-    for i in range(1, N + 1):
-        for j in range(1, N + 1):
-            s = sign(j - i)
-            if s == 0:
-                continue
-            term = current_entry(L, "z0", i, j) * current_entry(L, "z0", j, i)
-            out = out + term.scale(F.from_int(s))
-    return out
 
 
 class FamilyMember:

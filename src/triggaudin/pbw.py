@@ -16,7 +16,7 @@ with explicit errors.
 
 from .rationals import QQ
 from .series import SeriesRing, TruncSeries
-from .tensor import AuxTensor, Space, quantum_leg
+from .tensor import AuxTensor, Space, aux_leg, quantum_leg
 from .gaudin import ThetaContext
 from .rmatrices import sign
 
@@ -293,28 +293,15 @@ def symbolic_context(N, u_order, m):
     # each; build with headroom so requested orders stay exact
     internal = u_order + m
     ring = SeriesRing("u", alg, internal)
-
-    def factory(space, aux):
-        p = space.position(aux)
-        entries = {}
-        for i in range(1, N + 1):
-            for j in range(1, N + 1):
-                coeffs = [cm.plus_mode(i, j, n) for n in range(internal + 1)]
-                s = TruncSeries("u", alg, internal, coeffs)
-                if s.is_zero():
-                    continue
-                # e_ij on the auxiliary leg, identity elsewhere
-                base = AuxTensor(
-                    Space(N, [space.legs[p]]),
-                    ring,
-                    {(i - 1, j - 1): s},
-                )
-                emb = base.place(space, aux)
-                for key, v in emb.entries.items():
-                    entries[key] = entries[key] + v if key in entries else v
-        return AuxTensor(space, ring, entries, clean=True)
-
-    return ThetaContext(N, ring, [], factory, ring.gen)
+    # the upper current sum_ij e_ij L+_ij(u) on one auxiliary leg
+    entries = {}
+    for i in range(1, N + 1):
+        for j in range(1, N + 1):
+            coeffs = [cm.plus_mode(i, j, n) for n in range(internal + 1)]
+            s = TruncSeries("u", alg, internal, coeffs)
+            if not s.is_zero():
+                entries[(i - 1, j - 1)] = s
+    return ThetaContext(AuxTensor(Space(N, [aux_leg("z0")]), ring, entries))
 
 
 def theta_symbolic(N, m, u_order, shifted=False):

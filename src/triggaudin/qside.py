@@ -32,7 +32,7 @@ which leaves every commutativity statement untouched.
 """
 
 from functools import lru_cache
-from math import comb, factorial
+from math import comb
 
 from .laurent import LaurentRing
 from .poly import UniPoly
@@ -325,48 +325,24 @@ def eps_expand(f, order):
     return TruncSeries("eps", Qu, order, [_u_laurent(row) for row in rows])
 
 
-def stirling2(n, k):
-    """Stirling numbers of the second kind, small-range recursion."""
-    if k < 0 or k > n:
-        return 0
-    if n == 0:
-        return 1 if k == 0 else 0
-    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
-
-
 def delta_power_in_derivatives(k, order):
     """delta^k as sum_i c_i(u, eps) d_u^i up to the eps order.
 
-    delta substitutes u -> u q^{-2}, so on functions of u it acts as
-    exp(-2 ln(1+eps) u d_u); the coefficient of d_u^i collects the
-    Stirling-number rearrangement of (u d_u)^j.
+    delta substitutes u -> u q^{-2}, so by Taylor's formula
+    delta^k = sum_i (u (q^{-2k} - 1))^i / i! d_u^i.  The factor
+    q^{-2k} - 1 vanishes at eps = 0, so the terms i <= order are all
+    that survive.
     """
-    log1p = TruncSeries(
-        "eps",
-        Qu,
-        order,
-        [Qu.zero]
-        + [Qu.from_int((-1) ** (t + 1)) / Qu.from_int(t) for t in range(1, order + 1)],
-    )
-    w = log1p.scale(Qu.from_int(-2 * k))
-    wj = TruncSeries.one("eps", Qu, order)
-    terms = {}
-    for j in range(order + 1):
-        if j > 0:
-            wj = wj * w
-        inv_fact = Qu.one / Qu.from_int(factorial(j))
-        for i in range(j + 1):
-            s = stirling2(j, i)
-            if not s:
-                continue
-            contrib = wj.scale(inv_fact * Qu.from_int(s))
-            terms[i] = terms.get(i, TruncSeries.zero("eps", Qu, order)) + contrib
-    u = Qu.gen
+    # u (q^{-2k} - 1): the binomial series of q^{-2k} without its 1
+    tail = _binomials(-2 * k, order)[1:]
+    h = TruncSeries("eps", Qu, order, [Qu.zero] + [Qu.gen.scale(c) for c in tail])
     out = {}
-    for i, series in terms.items():
-        scaled = series.scale(u ** i)
-        if not scaled.is_zero():
-            out[i] = scaled
+    term = TruncSeries.one("eps", Qu, order)
+    for i in range(order + 1):
+        if term.is_zero():
+            break
+        out[i] = term
+        term = (term * h).scale(Qu.one / Qu.from_int(i + 1))
     return out
 
 
@@ -416,13 +392,7 @@ def classical_limit_compare(rep, m, with_D=False):
     }
     lhs_m = {i: t for i, t in lhs_m.items() if not t.is_zero()}
 
-    Lc = classical_limit_current(rep)
-
-    def factory(space, aux):
-        return Lc.place(space, aux, *rep.site_names())
-
-    ctx = ThetaContext(rep.N, Qu, qspace.legs, factory, Qu.gen)
-    rhs = ctx.theta_mbar(m, shifted=with_D)
+    rhs = ThetaContext(classical_limit_current(rep)).theta_mbar(m, shifted=with_D)
     keys = sorted(set(lhs_m) | set(rhs.coeffs))
     mismatches = []
     for i in keys:

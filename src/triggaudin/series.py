@@ -8,9 +8,12 @@ zero, so precision loss in (q-1)-expansions is never silent.
 The coefficient ring may be noncommutative (PBW elements); series
 multiplication preserves factor order.
 
-Trailing falsy coefficients are dropped and read back as zero, so an
-x-series coefficient that is an eps-series with no nonzero known term
-forgets its truncation order and reads as an exact zero, not an error.
+Trailing zero coefficients are dropped and read back as zero.  A
+coefficient that is itself a series with no nonzero known term is
+dropped only when it is known as far as the coefficient ring's zero:
+an x-series coefficient that is an eps-series known to fewer orders
+keeps its truncation order, so reading past it raises instead of
+returning an exact zero.
 """
 
 
@@ -26,6 +29,11 @@ class TruncSeries:
             raise ValueError("negative truncation order")
         coeffs = list(coeffs[: order + 1])
         while coeffs and not coeffs[-1]:
+            # a zero series known to fewer orders than the ring's zero is
+            # not an exact zero: keep it, so its truncation order survives
+            last = coeffs[-1]
+            if isinstance(last, TruncSeries) and last.order < base.zero.order:
+                break
             coeffs.pop()
         self.var = var
         self.base = base

@@ -247,6 +247,17 @@ class TestTruncSeries:
         t = s.scale_var(rat(2))
         assert [t.coefficient(k) for k in range(3)] == [rat(1), rat(2), rat(4)]
 
+    def test_trailing_zero_keeps_its_truncation_order(self):
+        # an eps-series with no known nonzero term, known to fewer orders
+        # than the ring's zero, is not an exact zero: reading past its
+        # order raises; a trailing zero known as far as E.zero is dropped
+        E = SeriesRing("eps", QQ, 3)
+        short = TruncSeries("eps", QQ, 0, [])
+        s = TruncSeries("x", E, 2, [E.one, E.zero, short])
+        with pytest.raises(TruncationError):
+            s.coefficient(2).coefficient(1)
+        assert TruncSeries("x", E, 2, [E.one, E.zero, E.zero]).coeffs == (E.one,)
+
 
 def _yseries(cs, order=5):
     return TruncSeries("y", QQ, order, [rat(c) for c in cs])

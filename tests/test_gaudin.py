@@ -3,7 +3,8 @@
 import pytest
 
 from triggaudin.rationals import QQ, rational
-from triggaudin.rmatrices import tc
+from triggaudin.rmatrices import r_classical, tc
+from triggaudin.tensor import AuxTensor
 from triggaudin import gaudin, suites
 
 import full_space_routes
@@ -133,6 +134,19 @@ class TestQuadraticResidues:
         rep = gaudin.GaudinRep(2, [rational(1, 2), rational(5, 3)])
         assert gaudin.quad_residue_check(rep)["pass"]
 
+    def test_inverted_argument_fails_with_witness(self, monkeypatch):
+        # negative control: the right-hand side's r_ij taken at a_j/a_i;
+        # the current, built over Q(u), keeps its true argument
+        monkeypatch.setattr(
+            gaudin,
+            "r_classical",
+            lambda N, ring, x: r_classical(N, ring, ring.one / x if ring is QQ else x),
+        )
+        args = {"N": 2, "points": ("1", "3")}
+        (rec,) = suites.run_tasks([("quadham", "claim", "task_quadham", args)])
+        assert rec["status"] == "fail"
+        assert rec["witness"] and all(w["diff"] for w in rec["witness"])
+
 
 class TestFamily:
     def test_members_commute(self):
@@ -166,6 +180,23 @@ class TestFamily:
         for _, op in ops:
             for member in fam:
                 assert op.commutator(member.op).is_zero()
+
+    def test_distinct_diagonal_fails_with_witness(self, monkeypatch):
+        # negative control: a member with distinct diagonal entries
+        # commutes with no operator that is not diagonal
+        extract = gaudin.extract_family
+
+        def with_diagonal(rep, m_max, shifted=False):
+            qspace = rep.quantum_space()
+            diag = {(i, i): QQ.from_int(i + 1) for i in range(qspace.dim)}
+            member = gaudin.FamilyMember(0, 0, ("poly", 0), AuxTensor(qspace, QQ, diag))
+            return extract(rep, m_max, shifted) + [member]
+
+        monkeypatch.setattr(gaudin, "extract_family", with_diagonal)
+        args = {"N": 2, "points": ("1", "3"), "m_max": 2, "shifted": False}
+        (rec,) = suites.run_tasks([("commut", "claim", "task_commutativity", args)])
+        assert rec["status"] == "fail"
+        assert rec["witness"] and all(w["diff"] for w in rec["witness"])
 
     def test_scalar_case(self):
         # N = 1: all operators are scalars, trivially commuting

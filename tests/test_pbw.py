@@ -7,7 +7,7 @@ import weakref
 import pytest
 
 from triggaudin.rationals import QQ, rational
-from triggaudin import gaudin, pbw
+from triggaudin import gaudin, pbw, suites
 
 import full_space_routes
 
@@ -175,6 +175,37 @@ class TestChecks:
         orders = [(k, d) for k in range(2) for d in range(2)]
         result = pbw.vacuum_invariance_check(2, 1, orders, 1, shifted=True)
         assert result["pass"]
+
+    def test_shifted_against_unshifted_fails_with_witness(self, monkeypatch):
+        # negative control: the first factor of each pair shifted, the
+        # second not; shifted m1 = 1 still commutes with unshifted
+        # m2 = 2, so both orders are 2
+        theta = pbw.theta_symbolic
+        calls = []
+
+        def first_shifted(N, m, u_order, shifted=False):
+            calls.append(m)
+            return theta(N, m, u_order, shifted or len(calls) == 1)
+
+        monkeypatch.setattr(pbw, "theta_symbolic", first_shifted)
+        args = {"m1": 2, "m2": 2, "d_max": 3, "shifted": False}
+        (rec,) = suites.run_tasks([("pbw", "claim", "task_pbw_commut", args)])
+        assert rec["status"] == "fail"
+        assert rec["witness"] and all(w["diff"] for w in rec["witness"])
+
+    def test_unshifted_invariance_fails_with_witness(self, monkeypatch):
+        # negative control: the unshifted coefficients; at m = 1 they
+        # still pass, so m = 2 is the first order where the shift counts
+        theta = pbw.theta_symbolic
+        monkeypatch.setattr(
+            pbw,
+            "theta_symbolic",
+            lambda N, m, u_order, shifted=False: theta(N, m, u_order, False),
+        )
+        args = {"m": 2, "d_max": 2, "v_order": 3}
+        (rec,) = suites.run_tasks([("pbw", "claim", "task_pbw_vacuum", args)])
+        assert rec["status"] == "fail"
+        assert rec["witness"] and all(w["image"] for w in rec["witness"])
 
 
 class TestEvaluation:

@@ -181,40 +181,33 @@ class TestEpsExpansion:
         )
 
     def test_shift_operator_on_powers(self):
-        # delta u^p = u^p q^{-2p} delta: the derivative expansion of
-        # delta^k applied to u^p must match the eps-series of q^{-2kp}
+        # delta^k f(u) = f(u q^{-2k}): the derivative expansion of delta^k
+        # applied to f must match f composed with the eps-series of
+        # u (1+eps)^{-2k}.  The powers u^p, p <= order, see only d^i with
+        # i <= p; the pole 1/(u - 2) sees every i <= order
         target = FracField("u", QQ)
         u = target.gen
         order = 3
+        E = SeriesRing("eps", target, order)
         for k in (1, 2):
             terms = qside.delta_power_in_derivatives(k, order)
-            for p in (1, 2, 3):
-                up = u ** p
-                # sum_i c_i d^i u^p as an eps-series of rational functions
+            binom = [QQ.one]
+            for t in range(1, order + 1):
+                binom.append(binom[-1] * QQ.from_int(-2 * k - t + 1) / QQ.from_int(t))
+            shifted_u = TruncSeries("eps", target, order, [u.scale(c) for c in binom])
+            cases = [(u ** p, shifted_u ** p) for p in (1, 2, 3)]
+            pole = target.one / (u - target.from_int(2))
+            cases.append((pole, (shifted_u - E.from_int(2)).invert()))
+            for f, expect in cases:
+                # sum_i c_i d^i f as an eps-series of rational functions
                 acc = None
                 for i, series in terms.items():
-                    d = up
+                    d = f
                     for _ in range(i):
                         d = d.derivative()
                     contrib = series.scale(d)
                     acc = contrib if acc is None else acc + contrib
-                # expected: u^p (1+eps)^{-2kp}
-                binom = [QQ.one]
-                for t in range(1, order + 1):
-                    binom.append(
-                        binom[-1]
-                        * QQ.from_int(-2 * k * p - t + 1)
-                        / QQ.from_int(t)
-                    )
-                expect = TruncSeries(
-                    "eps", target, order, [up.scale(c) for c in binom]
-                )
                 assert acc == expect
-
-    def test_stirling_values(self):
-        assert qside.stirling2(4, 2) == 7
-        assert qside.stirling2(5, 3) == 25
-        assert qside.stirling2(3, 0) == 0
 
 
 class TestClassicalLimit:
@@ -271,17 +264,11 @@ class TestNormalizedRMatrix:
     def test_one_eps_order_short_does_not_pass(self, monkeypatch):
         # precision guard: at eps order x_order + 1 the x^x_order
         # coefficient of Rbar is known only to eps^1, and nothing of it
-        # is left to read once divided by eps^2.  A coefficient with no
-        # nonzero known term would instead be dropped as zero (see the
-        # series module) and read as 0 in place of 4c x_order; either
-        # way the check must not pass
+        # is left to read once divided by eps^2, so reading it raises
         monkeypatch.setattr(qside, "_eps_order", lambda x_order: x_order + 1)
         for N, c in ((2, 1), (3, -3)):
-            try:
-                ok = qside.prop_central_term_check(N, c, 4)
-            except TruncationError:
-                ok = False
-            assert not ok
+            with pytest.raises(TruncationError):
+                qside.prop_central_term_check(N, c, 4)
 
     def test_f_series_first_order(self):
         for N in (2, 3, 4, 5):
