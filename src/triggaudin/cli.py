@@ -185,8 +185,8 @@ def cmd_verify(cfg):
 
 def cmd_qlimit(cfg, m):
     """Classical-limit comparison plus the central-term expansion check."""
-    if m > 4:
-        raise UsageError("qlimit supports m <= 4")
+    if not 1 <= m <= 4:
+        raise UsageError("qlimit supports 1 <= m <= 4, got %d" % m)
     sub = dict(cfg)
     sub["m_max"] = m
     report = run_suite("qlimit", sub, cfg["workers"])
@@ -241,7 +241,7 @@ def build_parser():
 
     p_ql = sub.add_parser("qlimit", help="classical-limit comparison report")
     common(p_ql)
-    p_ql.add_argument("--m", type=int, default=2, help="operator order (<= 4)")
+    p_ql.add_argument("--m", type=int, default=2, help="operator order (1 to 4)")
     return parser
 
 

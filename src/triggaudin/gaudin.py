@@ -27,7 +27,7 @@ the q-side uses the same class with its own Laurent rings.
 
 from .rationals import QQ
 from .ratfun import FracField
-from .tensor import AuxTensor, Space, aux_leg, quantum_leg
+from .tensor import AuxTensor, Space, aux_leg, quantum_leg, single_leg_matrix
 from .weyl import DiffOp
 from .rmatrices import (
     diag_shift_rho,
@@ -79,8 +79,9 @@ class Sites:
     def quantum_space(self):
         return self.space()
 
-    def current_space(self, aux="z0"):
-        return self.space([aux])
+    def current_space(self):
+        """The legs of a current: the auxiliary leg z0, then the sites."""
+        return self.space(["z0"])
 
 
 GaudinRep = Sites
@@ -97,26 +98,18 @@ def represent_current(rep):
     return out
 
 
-def current_entry(current, aux, i, j):
+def current_entry(current, i, j):
     """The (i, j) entry of a matrix current, as an operator on the rest.
 
-    Indices are 1-based; the auxiliary leg is projected onto e_ij.
+    Indices are 1-based; the auxiliary leg is the current's first leg,
+    and L_ij = tr_0((e_ji on leg 0) L).
     """
-    space = current.space
-    p = space.position(aux)
-    rest = space.drop([aux])
-    out = {}
-    for (r, c), v in current.entries.items():
-        ridx = space.decode(r)
-        cidx = space.decode(c)
-        if ridx[p] != i - 1 or cidx[p] != j - 1:
-            continue
-        key = (
-            rest.encode([x for t, x in enumerate(ridx) if t != p]),
-            rest.encode([x for t, x in enumerate(cidx) if t != p]),
-        )
-        out[key] = out[key] + v if key in out else v
-    return AuxTensor(rest, current.ring, out, clean=True)
+    aux = current.space.legs[0].name
+    one = current.ring.one
+    e_ji = single_leg_matrix(
+        current.space.N, current.ring, lambda a, b: one if (a, b) == (j, i) else None
+    )
+    return (e_ji.place(current.space, aux) * current).partial_trace([aux])
 
 
 class ThetaContext:
@@ -239,20 +232,21 @@ def signed_tail(L):
         for j in range(1, L.space.N + 1):
             s = sign(i - j)
             if s:
-                term = current_entry(L, "z0", i, j) * current_entry(L, "z0", j, i)
+                term = current_entry(L, i, j) * current_entry(L, j, i)
                 out = out + term.scale(L.ring.from_int(s))
     return out
 
 
-def explicit_theta(rep, m, shifted=False):
-    """Closed-form oracles for m <= 3 (unshifted), built independently.
+def explicit_theta(rep, m):
+    """Closed-form oracles of the unshifted theta_m for m <= 3, built
+    independently.
 
     m=1: 2Nu d/du - tr L(u)
     m=2: 4Nu^2 d^2 - 4u(tr L - N) d - 2u tr L' + tr L^2
     m=3: tr(2u d/du - L)^3 + sum_{ij} sign(i-j) L_ij L_ji
     """
-    if shifted or m > 3:
-        raise ValueError("explicit forms cover unshifted m <= 3 only")
+    if not 1 <= m <= 3:
+        raise ValueError("explicit forms cover 1 <= m <= 3 only")
     F = Qu
     u = F.gen
     N = rep.N

@@ -1,7 +1,9 @@
 """Sparse kernels.
 
 These are the hot inner loops of the whole package: sparse
-operator-times-operator products over exact coefficient rings.
+operator-times-operator products over exact coefficient rings, and the
+one sparse sum that tensors, Laurent polynomials, PBW elements and
+operator polynomials share.
 """
 
 

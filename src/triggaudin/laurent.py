@@ -16,6 +16,7 @@ exactly when it holds in the tower.
 
 from operator import add, neg
 
+from .kernels import sparse_add
 from .rationals import rational
 
 
@@ -57,17 +58,7 @@ class Laurent:
     def __add__(self, other):
         if type(other) is not Laurent or other.ring is not self.ring:
             self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            if e in out:
-                s = out[e] + c
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-            else:
-                out[e] = c
-        return Laurent(self.ring, out)
+        return Laurent(self.ring, sparse_add(self.terms, other.terms))
 
     def __neg__(self):
         return Laurent(self.ring, {e: -c for e, c in self.terms.items()})

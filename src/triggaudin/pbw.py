@@ -14,6 +14,7 @@ builders enforce a documented envelope (N = 2, m <= 3, u-order <= 4)
 with explicit errors.
 """
 
+from .kernels import sparse_add
 from .rationals import QQ
 from .series import SeriesRing, TruncSeries
 from .tensor import AuxTensor, Space, aux_leg, quantum_leg
@@ -59,24 +60,15 @@ class PBWElement:
     def __eq__(self, other):
         if not isinstance(other, PBWElement):
             return NotImplemented
-        return self.terms == other.terms
+        return (
+            self.alg is other.alg or self.alg == other.alg
+        ) and self.terms == other.terms
 
     def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
+        return hash((self.alg, tuple(sorted(self.terms.items()))))
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            s = out.get(k)
-            if s is None:
-                out[k] = v
-            else:
-                s = s + v
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-        return PBWElement(self.alg, out)
+        return PBWElement(self.alg, sparse_add(self.terms, other.terms))
 
     def __neg__(self):
         return PBWElement(self.alg, {k: -v for k, v in self.terms.items()})
@@ -168,9 +160,6 @@ class PBWAlg:
             return self.zero
         return PBWElement(self, {((), 0): c})
 
-    def is_zero(self, x):
-        return x.is_zero()
-
     def generator(self, i, j, n, coeff=None):
         c = QQ.one if coeff is None else coeff
         if not c:
@@ -241,11 +230,6 @@ class PBWAlg:
 
     def __repr__(self):
         return "PBWAlg(N=%d)" % self.N
-
-
-def normal_order(alg, word):
-    """Module-level convenience wrapper (word of modes)."""
-    return alg.normal_order(tuple(word))
 
 
 class CurrentModes:

@@ -74,23 +74,22 @@ def _gens(ring, q, u):
     return ring.gens[0] if q is None else q, ring.gens[1] if u is None else u
 
 
-def qrep_current(rep, ring=QU, q=None, u=None, space=None, aux="z0"):
+def qrep_current(rep, ring=QU, q=None, u=None):
     """The cleared current den(u) L+(u), den(u) = prod_i (q - u/(a_i q)).
 
-    L+(u) = R_{01}(u/a_1) R_{02}(u/a_2) ... R_{0l}(u/a_l); each factor is
-    multiplied by its scalar denominator (q - x/q), so every entry is a
-    Laurent polynomial.  ``q`` and ``u`` default to the ring's first two
-    generators; passing ``u`` supports shifted arguments like
-    u q^{-2a+2} and the second variable of bivariate checks.
+    L+(u) = R_{01}(u/a_1) R_{02}(u/a_2) ... R_{0l}(u/a_l) on the legs
+    (z0, sites); each factor is multiplied by its scalar denominator
+    (q - x/q), so every entry is a Laurent polynomial.  ``q`` and ``u``
+    default to the ring's first two generators; passing ``u`` supports
+    shifted arguments like u q^{-2a+2} and the second variable of
+    bivariate checks.
     """
     q, u = _gens(ring, q, u)
-    if space is None:
-        space = rep.current_space(aux)
     factors = [
-        (r_quantum_scaled(rep.N, ring, q, u / embed_rational(ring, a)), aux, "s%d" % i)
+        (r_quantum_scaled(rep.N, ring, q, u / embed_rational(ring, a)), "z0", "s%d" % i)
         for i, a in enumerate(rep.points, start=1)
     ]
-    return chain(space, ring, factors)
+    return chain(rep.current_space(), ring, factors)
 
 
 def exchange_difference(rep, R):
@@ -103,8 +102,9 @@ def exchange_difference(rep, R):
     """
     q, u, v = QUV.gens
     space = rep.space(["b1", "b2"])
-    L1 = qrep_current(rep, QUV, q, u, space, "b1")
-    L2 = qrep_current(rep, QUV, q, v, space, "b2")
+    sites = rep.site_names()
+    L1 = qrep_current(rep, QUV, q, u).place(space, "b1", *sites)
+    L2 = qrep_current(rep, QUV, q, v).place(space, "b2", *sites)
     R12 = R.place(space, "b1", "b2")
     return R12 * L1 * L2 - L2 * L1 * R12
 
@@ -142,13 +142,15 @@ def bethe(rep, kind, k, with_D=False, ring=QU, q=None, u=None):
     q, u = _gens(ring, q, u)
     bnames = ["b%d" % a for a in range(1, k + 1)]
     space = rep.space(bnames)
+    sites = rep.site_names()
     if kind == "antisym":
         acc = antisymmetrizer(k, rep.N, ring, q).place(space, *bnames)
     else:
         acc = adjacent_q_chain(space, ring, q, range(k - 1, 0, -1))
     for a in range(1, k + 1):
         ua = u * q ** (2 - 2 * a)
-        acc = acc * qrep_current(rep, ring, q, ua, space, bnames[a - 1])
+        La = qrep_current(rep, ring, q, ua)
+        acc = acc * La.place(space, bnames[a - 1], *sites)
     if with_D:
         D = diag_shift_d(rep.N, ring, q)
         for nm in bnames:
@@ -196,16 +198,17 @@ def mcal(rep, m, with_D=False):
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    q, u = QU.gens
+    q = QU.gens[0]
     shift = q ** -2
     tnames = ["t%d" % a for a in range(1, m + 1)]
     space = rep.space(tnames)
+    sites = rep.site_names()
+    L = qrep_current(rep)
+    if with_D:
+        L = L * diag_shift_d(rep.N, QU, q).place(L.space, "z0")
 
     def m_factor(a):
-        La = qrep_current(rep, QU, q, u, space, tnames[a - 1])
-        if with_D:
-            La = La * diag_shift_d(rep.N, QU, q).place(space, tnames[a - 1])
-        return QDiffOp(space, QU, {1: La}, shift)
+        return QDiffOp(space, QU, {1: L.place(space, tnames[a - 1], *sites)}, shift)
 
     pq = q_permutation(rep.N, QU, q)
     pp = permutation(rep.N, QU)

@@ -327,9 +327,6 @@ class FracField:
         """Lift a base-field element to a constant rational function."""
         return RatFun.const(self.var, self.base, c)
 
-    def is_zero(self, x):
-        return x.is_zero()
-
     def __eq__(self, other):
         return (
             isinstance(other, FracField)

@@ -31,17 +31,12 @@ class RationalField:
     arithmetic through their own operators.
     """
 
-    name = "QQ"
-
     def __init__(self):
         self.zero = rational(0)
         self.one = rational(1)
 
     def from_int(self, n):
         return rational(n)
-
-    def is_zero(self, x):
-        return not x
 
     def __repr__(self):
         return "QQ"

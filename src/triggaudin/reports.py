@@ -58,7 +58,7 @@ def build_report(suite, config, records):
 
 
 def report_bytes(report):
-    return (json.dumps(report, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    return bytes(json.dumps(report, indent=2, sort_keys=True) + "\n", "utf-8")
 
 
 def write_json(document, path):

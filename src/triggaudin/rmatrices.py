@@ -5,35 +5,35 @@ over an explicitly supplied coefficient ring, so the same formulas work
 over Q, Q(u), Laurent polynomial rings in q, u, v or truncated-series
 rings; the q-dependent builders take q as an argument.  Index
 conventions are 1-based with sign(0) = 0.
+
+Every builder builds on fixed auxiliary legs: a two-leg tensor on a1,
+a2, a diagonal shift on a1, and ``perm_q`` and ``antisymmetrizer`` on
+a1..ak.  :meth:`~triggaudin.tensor.AuxTensor.place` is the one way to
+put a tensor onto other legs.  The chain builders (``adjacent_q_chain``,
+``plain_cycle_chain``, ``tc_cycle_chain``) take the space of the chain
+they build.
 """
 
 import itertools
 
 from .ratfun import PoleError
 from .series import TruncSeries
-from .tensor import (
-    AuxTensor,
-    Space,
-    aux_leg,
-    chain,
-    single_leg_matrix,
-    two_leg_tensor,
-)
+from .tensor import AuxTensor, aux_space, chain, single_leg_matrix, two_leg_tensor
 
 
 def sign(n):
     return (n > 0) - (n < 0)
 
 
-def permutation(N, ring, legs=None):
+def permutation(N, ring):
     """The flip P = sum e_ij (x) e_ji."""
     one = ring.one
     return two_leg_tensor(
-        N, ring, lambda i, j, k, l: one if (k == j and l == i) else None, legs
+        N, ring, lambda i, j, k, l: one if (k == j and l == i) else None
     )
 
 
-def tc(N, ring, legs=None):
+def tc(N, ring):
     """The skew tensor sum sign(j-i) e_ij (x) e_ji (value of r at -1)."""
 
     def coeff(i, j, k, l):
@@ -41,10 +41,10 @@ def tc(N, ring, legs=None):
             return ring.from_int(sign(j - i))
         return None
 
-    return two_leg_tensor(N, ring, coeff, legs)
+    return two_leg_tensor(N, ring, coeff)
 
 
-def tc_bar(N, ring, legs=None):
+def tc_bar(N, ring):
     """The off-diagonal flip sum_{i != j} e_ij (x) e_ji."""
     one = ring.one
 
@@ -53,10 +53,10 @@ def tc_bar(N, ring, legs=None):
             return one
         return None
 
-    return two_leg_tensor(N, ring, coeff, legs)
+    return two_leg_tensor(N, ring, coeff)
 
 
-def t_of_y(N, ring, y, legs=None):
+def t_of_y(N, ring, y):
     """The two-leg function T(y) in its closed form.
 
     ``y`` is an element of ``ring`` (usually a formal generator); the
@@ -76,10 +76,10 @@ def t_of_y(N, ring, y, legs=None):
             return one
         return upper if i < j else lower
 
-    return two_leg_tensor(N, ring, coeff, legs)
+    return two_leg_tensor(N, ring, coeff)
 
 
-def t_taylor(N, ring, order, legs=None):
+def t_taylor(N, ring, order):
     """Taylor coefficient of T(y) at y^order: P, then Tc odd, TcBar even.
 
     Follows the closed form: expanding 1/(1 -+ y) gives the skew tensor
@@ -87,13 +87,13 @@ def t_taylor(N, ring, order, legs=None):
     every even order >= 2.
     """
     if order == 0:
-        return permutation(N, ring, legs)
+        return permutation(N, ring)
     if order % 2 == 1:
-        return tc(N, ring, legs)
-    return tc_bar(N, ring, legs)
+        return tc(N, ring)
+    return tc_bar(N, ring)
 
 
-def r_classical(N, ring, x, legs=None):
+def r_classical(N, ring, x):
     """The trigonometric classical r-matrix at argument x.
 
     Entry (ij)(ji) carries (1+x)/(1-x) + sign(j-i); x = 1 is a pole
@@ -111,10 +111,10 @@ def r_classical(N, ring, x, legs=None):
         c = core + ring.from_int(sign(j - i))
         return c if c else None
 
-    return two_leg_tensor(N, ring, coeff, legs)
+    return two_leg_tensor(N, ring, coeff)
 
 
-def q_permutation(N, ring, q, legs=None):
+def q_permutation(N, ring, q):
     """The q-permutation P^q."""
     one = ring.one
     qinv = one / q
@@ -126,10 +126,10 @@ def q_permutation(N, ring, q, legs=None):
             return one
         return q if i > j else qinv
 
-    return two_leg_tensor(N, ring, coeff, legs)
+    return two_leg_tensor(N, ring, coeff)
 
 
-def r_quantum(N, ring, q, x, legs=None):
+def r_quantum(N, ring, q, x):
     """The quantum R-matrix R(x) over a ring containing q.
 
     ``x`` may be a formal generator or any non-pole ring element
@@ -151,10 +151,10 @@ def r_quantum(N, ring, q, x, legs=None):
             return low if i > j else high
         return None
 
-    return two_leg_tensor(N, ring, coeff, legs)
+    return two_leg_tensor(N, ring, coeff)
 
 
-def r_quantum_scaled(N, ring, q, x, legs=None):
+def r_quantum_scaled(N, ring, q, x):
     """(q - x/q) R(x): the R-matrix with its denominator cleared.
 
     All entries are Laurent polynomials in q and x, so the bivariate
@@ -179,10 +179,10 @@ def r_quantum_scaled(N, ring, q, x, legs=None):
             return low if i > j else high
         return None
 
-    return two_leg_tensor(N, ring, coeff, legs)
+    return two_leg_tensor(N, ring, coeff)
 
 
-def diag_shift_d(N, ring, q, leg=None):
+def diag_shift_d(N, ring, q):
     """The diagonal matrix D = diag(q^{N-1}, q^{N-3}, ..., q^{-N+1})."""
     one = ring.one
 
@@ -192,10 +192,10 @@ def diag_shift_d(N, ring, q, leg=None):
         e = N + 1 - 2 * i
         return q ** e if e >= 0 else one / q ** (-e)
 
-    return single_leg_matrix(N, ring, coeff, leg)
+    return single_leg_matrix(N, ring, coeff)
 
 
-def diag_shift_rho(N, ring, leg=None):
+def diag_shift_rho(N, ring):
     """The diagonal matrix rho = diag(N-1, N-3, ..., -N+1)."""
 
     def coeff(i, j):
@@ -203,7 +203,7 @@ def diag_shift_rho(N, ring, leg=None):
             return None
         return ring.from_int(N + 1 - 2 * i)
 
-    return single_leg_matrix(N, ring, coeff, leg)
+    return single_leg_matrix(N, ring, coeff)
 
 
 def reduced_word(one_line):
@@ -243,25 +243,21 @@ def adjacent_q_chain(space, ring, q, positions):
     return chain(space, ring, [(pq, names[a - 1], names[a]) for a in positions])
 
 
-def perm_q(one_line, N, ring, q, space=None):
-    """P^q_sigma along one reduced decomposition of sigma.
+def perm_q(one_line, N, ring, q):
+    """P^q_sigma on legs a1..ak along one reduced decomposition of sigma.
 
     Independent of the chosen reduced word (braid relations for P^q).
     """
-    k = len(one_line)
-    if space is None:
-        space = Space(N, [aux_leg("a%d" % i) for i in range(1, k + 1)])
-    word = reduced_word(one_line)
-    return adjacent_q_chain(space, ring, q, word)
+    space = aux_space(N, len(one_line))
+    return adjacent_q_chain(space, ring, q, reduced_word(one_line))
 
 
-def antisymmetrizer(k, N, ring, q, space=None):
-    """The normalized q-antisymmetrizer A^(k) = (1/k!) sum sgn(s) P^q_s."""
-    if space is None:
-        space = Space(N, [aux_leg("a%d" % i) for i in range(1, k + 1)])
-    acc = AuxTensor.zero(space, ring)
+def antisymmetrizer(k, N, ring, q):
+    """The normalized q-antisymmetrizer A^(k) = (1/k!) sum sgn(s) P^q_s
+    on legs a1..ak."""
+    acc = AuxTensor.zero(aux_space(N, k), ring)
     for perm in itertools.permutations(range(1, k + 1)):
-        term = perm_q(perm, N, ring, q, space)
+        term = perm_q(perm, N, ring, q)
         if perm_sign(perm) < 0:
             term = -term
         acc = acc + term

@@ -222,9 +222,6 @@ class SeriesRing:
     def embed(self, c):
         return TruncSeries.const(self.var, self.base, c, self.order)
 
-    def is_zero(self, x):
-        return x.is_zero()
-
     def __eq__(self, other):
         return (
             isinstance(other, SeriesRing)

@@ -25,7 +25,7 @@ from .rmatrices import (
     tc_bar,
     tc_cycle_chain,
 )
-from .tensor import Space, aux_leg
+from .tensor import Space, aux_leg, aux_space
 
 SUITE_NAMES = (
     "ybe",
@@ -54,10 +54,6 @@ def _rand_rational(rng, avoid):
             return x
 
 
-def _triple_space(N):
-    return Space(N, [aux_leg("a1"), aux_leg("a2"), aux_leg("a3")])
-
-
 def _repr_triplets(entries):
     """[[row, col, repr(value)], ...]: failure witnesses keep full values."""
     return [[r, c, repr(v)] for (r, c), v in entries]
@@ -80,7 +76,7 @@ def _same_operator(a, b):
 def task_classical_ybe(N, count):
     """[r12(x), r13(xy)] + [r12(x), r23(y)] + [r13(xy), r23(y)] = 0."""
     rng = random.Random(_SEED + N)
-    space = _triple_space(N)
+    space = aux_space(N, 3)
     bad = []
     for t in range(count):
         x = _rand_rational(rng, (QQ.one,))
@@ -99,7 +95,7 @@ def task_classical_ybe(N, count):
 def task_skew_symmetry(N, count):
     """r12(x) + r21(1/x) = 0 pointwise."""
     rng = random.Random(_SEED + 31 * N)
-    space = Space(N, [aux_leg("a1"), aux_leg("a2")])
+    space = aux_space(N, 2)
     bad = []
     for t in range(count):
         x = _rand_rational(rng, (QQ.one, -QQ.one))
@@ -118,7 +114,7 @@ def task_quantum_ybe(N, count):
     central scalar, so the identity is unchanged; it is checked in qside.QU.
     """
     rng = random.Random(_SEED + 7 * N)
-    space = _triple_space(N)
+    space = aux_space(N, 3)
     ring = qside.QU
     q = ring.gens[0]
     bad = []
@@ -152,9 +148,7 @@ def task_trace_cycle(N, k):
 def task_trace_one_leg(N):
     """tr_1 of the skew tensor and of the off-diagonal flip vanish."""
     for build in (tc, tc_bar):
-        space = Space(N, [aux_leg("t1"), aux_leg("t2")])
-        t = build(N, QQ, space.legs)
-        traced = t.partial_trace(["t1"])
+        traced = build(N, QQ).partial_trace(["a1"])
         if not traced.is_zero():
             return False, tensor_triplets(traced)
     return True, None
@@ -162,7 +156,7 @@ def task_trace_one_leg(N):
 
 def task_trace_mixed(N):
     """tr_2 T_{23} P_{12} = T_{13} for the skew tensor and the flip."""
-    space = _triple_space(N)
+    space = aux_space(N, 3)
     P12 = permutation(N, QQ).place(space, "a1", "a2")
     for build in (tc, tc_bar):
         t23 = build(N, QQ).place(space, "a2", "a3")

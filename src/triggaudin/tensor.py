@@ -5,6 +5,12 @@ are auxiliary (traceable) or quantum (never traced).  Operators are
 stored sparsely as {(row, col): coefficient} with multi-indices packed
 in mixed radix, row-major in leg order, so all iteration is
 deterministic.  There is no dense representation anywhere.
+
+The builders (:func:`single_leg_matrix`, :func:`two_leg_tensor`) build
+on the fixed auxiliary legs a1 and a1, a2 of :func:`aux_space`;
+:meth:`AuxTensor.place` alone moves a tensor onto other legs.  Only
+this module packs and unpacks flat indices (``Space.encode`` and
+``Space.decode``).
 """
 
 import itertools
@@ -308,26 +314,28 @@ def chain(space, ring, factors):
     return out
 
 
-def single_leg_matrix(N, ring, coeff_fn, leg=None):
-    """Build an operator on one leg from a coefficient function (i, j) -> c.
+def aux_space(N, k):
+    """The auxiliary legs a1, ..., ak: the fixed legs of every builder."""
+    return Space(N, [aux_leg("a%d" % i) for i in range(1, k + 1)])
+
+
+def single_leg_matrix(N, ring, coeff_fn):
+    """Build an operator on leg a1 from a coefficient function (i, j) -> c.
 
     Indices are 1-based as in the mathematical displays.
     """
-    space = Space(N, [leg if leg is not None else aux_leg("a1")])
     entries = {}
     for i in range(1, N + 1):
         for j in range(1, N + 1):
             c = coeff_fn(i, j)
             if c:
                 entries[(i - 1, j - 1)] = c
-    return AuxTensor(space, ring, entries)
+    return AuxTensor(aux_space(N, 1), ring, entries)
 
 
-def two_leg_tensor(N, ring, coeff_fn, legs=None):
-    """Build sum_{ijkl} c(i,j,k,l) e_ij (x) e_kl on two legs, 1-based."""
-    if legs is None:
-        legs = [aux_leg("a1"), aux_leg("a2")]
-    space = Space(N, list(legs))
+def two_leg_tensor(N, ring, coeff_fn):
+    """Build sum_{ijkl} c(i,j,k,l) e_ij (x) e_kl on legs a1, a2, 1-based."""
+    space = aux_space(N, 2)
     entries = {}
     for i in range(1, N + 1):
         for j in range(1, N + 1):

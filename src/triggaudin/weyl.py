@@ -12,6 +12,7 @@ q regimes are separate types on purpose.
 
 from math import comb
 
+from .kernels import sparse_add
 from .tensor import AuxTensor
 
 
@@ -78,10 +79,7 @@ class OperatorPolynomial:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.coeffs)
-        for k, t in other.coeffs.items():
-            out[k] = out[k] + t if k in out else t
-        return self._new(out)
+        return self._new(sparse_add(self.coeffs, other.coeffs))
 
     def __neg__(self):
         return self._new({k: -t for k, t in self.coeffs.items()})

@@ -238,5 +238,8 @@ class TestQlimit:
         assert doc["pass"] is True
         assert "note" in doc
 
-    def test_m_bound(self):
-        assert run(["qlimit", "--m", "5"]) == 2
+    def test_m_bound(self, tmp_path):
+        out = tmp_path / "qlimit.json"
+        for m in ("5", "0", "-1"):
+            assert run(["qlimit", "--m", m, "--out", str(out)]) == 2
+            assert not out.exists()

@@ -4,7 +4,7 @@ import pytest
 
 from triggaudin.rationals import QQ, rational
 from triggaudin.rmatrices import r_classical, tc
-from triggaudin.tensor import AuxTensor
+from triggaudin.tensor import AuxTensor, single_leg_matrix
 from triggaudin import gaudin, suites
 
 import full_space_routes
@@ -43,6 +43,30 @@ class TestCurrent:
         expect = (a + u) / (a - u)
         assert L.entries[(0, 0)] == expect
 
+    @staticmethod
+    def _from_entries(L, entry):
+        """sum_ij e_ij (on z0) (x) entry(i, j) (on the sites)."""
+        sites = L.space.leg_names()[1:]
+        one = L.ring.one
+        out = AuxTensor.zero(L.space, L.ring)
+        for i in range(1, L.space.N + 1):
+            for j in range(1, L.space.N + 1):
+                e_ij = single_leg_matrix(
+                    L.space.N, L.ring, lambda a, b: one if (a, b) == (i, j) else None
+                )
+                term = e_ij.place(L.space, "z0") * entry(i, j).place(L.space, *sites)
+                out = out + term
+        return out
+
+    def test_entries_rebuild_the_current(self):
+        rep = gaudin.GaudinRep(3, [rational(1), rational(3)])
+        L = gaudin.represent_current(rep)
+        rebuilt = self._from_entries(L, lambda i, j: gaudin.current_entry(L, i, j))
+        assert rebuilt == L
+        # negative control: the transposed entries do not rebuild it
+        swapped = self._from_entries(L, lambda i, j: gaudin.current_entry(L, j, i))
+        assert swapped != L
+
 
 class TestRoutes:
     def test_equivalence_small(self):
@@ -61,6 +85,9 @@ class TestRoutes:
         rep = rep22()
         for m in (1, 2, 3):
             assert gaudin.theta_generating(rep, m) == gaudin.explicit_theta(rep, m)
+        for m in (0, 4):
+            with pytest.raises(ValueError):
+                gaudin.explicit_theta(rep, m)
 
     def test_shift_changes_operator(self):
         rep = rep22()

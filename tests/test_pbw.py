@@ -55,6 +55,16 @@ class TestBracket:
             assert s.is_zero()
 
 
+class TestEquality:
+    def test_algebra_is_compared(self):
+        a = pbw.PBWAlg(2).generator(1, 1, 0)
+        b = pbw.PBWAlg(3).generator(1, 1, 0)
+        assert a != b
+        assert len({a, b}) == 2
+        assert a == pbw.PBWAlg(2).generator(1, 1, 0)
+        assert hash(a) == hash(pbw.PBWAlg(2).generator(1, 1, 0))
+
+
 class TestNormalOrder:
     def test_associativity(self):
         alg = alg2()

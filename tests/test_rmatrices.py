@@ -146,8 +146,8 @@ class TestQuantumAxioms:
         # negative control: every R-matrix evaluated at x + 1
         scaled = suites.r_quantum_scaled
 
-        def shifted(n, ring, q, x, legs=None):
-            return scaled(n, ring, q, x + ring.one, legs)
+        def shifted(n, ring, q, x):
+            return scaled(n, ring, q, x + ring.one)
 
         monkeypatch.setattr(suites, "r_quantum_scaled", shifted)
         args = {"N": N, "count": 5}

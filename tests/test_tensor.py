@@ -14,11 +14,9 @@ from triggaudin.tensor import (
 )
 
 
-def e_matrix(N, i, j, leg=None):
-    """Elementary matrix e_ij on one leg, 1-based."""
-    return single_leg_matrix(
-        N, QQ, lambda a, b: QQ.one if (a, b) == (i, j) else None, leg
-    )
+def e_matrix(N, i, j):
+    """Elementary matrix e_ij on leg a1, 1-based."""
+    return single_leg_matrix(N, QQ, lambda a, b: QQ.one if (a, b) == (i, j) else None)
 
 
 class TestSpace:
@@ -46,14 +44,14 @@ class TestAlgebra:
 
     def test_embed_acts_as_identity_elsewhere(self):
         sp = Space(2, [aux_leg("a"), aux_leg("b")])
-        x = e_matrix(2, 1, 2, aux_leg("a")).embed(sp, {"a": "a"})
+        x = e_matrix(2, 1, 2).embed(sp, {"a1": "a"})
         ident = AuxTensor.identity(Space(2, [aux_leg("b")]), QQ).embed(sp, {"b": "b"})
         assert x * ident == x
 
     def test_embed_order_irrelevant_for_disjoint_legs(self):
         sp = Space(2, [aux_leg("a"), aux_leg("b")])
-        x = e_matrix(2, 1, 2, aux_leg("a")).embed(sp, {"a": "a"})
-        y = e_matrix(2, 2, 1, aux_leg("b")).embed(sp, {"b": "b"})
+        x = e_matrix(2, 1, 2).embed(sp, {"a1": "a"})
+        y = e_matrix(2, 2, 1).embed(sp, {"a1": "b"})
         assert x * y == y * x
 
     def test_commutator(self):
@@ -87,8 +85,8 @@ class TestTraces:
 
     def test_trace_factorizes(self):
         sp = Space(2, [aux_leg("a"), aux_leg("b")])
-        x = e_matrix(2, 1, 1, aux_leg("a")).embed(sp, {"a": "a"})
-        y = e_matrix(2, 2, 2, aux_leg("b")).embed(sp, {"b": "b"})
+        x = e_matrix(2, 1, 1).place(sp, "a")
+        y = e_matrix(2, 2, 2).place(sp, "b")
         prod = x * y
         assert prod.partial_trace(["a"]).trace() == prod.trace()
         assert prod.trace() == rational(1)
