@@ -141,7 +141,7 @@ def cmd_hamiltonians(cfg):
     """Write the extracted operator family as one JSON document."""
     rep = gaudin.GaudinRep(cfg["N"], [parse_rational(p) for p in cfg["points"]])
     family = gaudin.extract_family(rep, cfg["m_max"], cfg["shifted"])
-    dim = rep.quantum_space().dim
+    dim = rep.space().dim
     operators = []
     for member in family:
         loc = member.location
@@ -183,13 +183,11 @@ def cmd_verify(cfg):
     return _exit_code(report)
 
 
-def cmd_qlimit(cfg, m):
+def cmd_qlimit(cfg):
     """Classical-limit comparison plus the central-term expansion check."""
-    if not 1 <= m <= 4:
-        raise UsageError("qlimit supports 1 <= m <= 4, got %d" % m)
-    sub = dict(cfg)
-    sub["m_max"] = m
-    report = run_suite("qlimit", sub, cfg["workers"])
+    if not 1 <= cfg["m_max"] <= 4:
+        raise UsageError("qlimit supports 1 <= m_max <= 4, got %d" % cfg["m_max"])
+    report = run_suite("qlimit", cfg, cfg["workers"])
     report["note"] = (
         "classical current convention: the first-order coefficient of the "
         "q-deformed current is taken as the classical current; it differs "
@@ -241,7 +239,6 @@ def build_parser():
 
     p_ql = sub.add_parser("qlimit", help="classical-limit comparison report")
     common(p_ql)
-    p_ql.add_argument("--m", type=int, default=2, help="operator order (1 to 4)")
     return parser
 
 
@@ -283,7 +280,7 @@ def main(argv=None):
         if args.command == "verify":
             return cmd_verify(cfg)
         if args.command == "qlimit":
-            return cmd_qlimit(cfg, args.m)
+            return cmd_qlimit(cfg)
         raise UsageError("unknown command %r" % args.command)
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -76,9 +76,6 @@ class Sites:
         legs = [aux_leg(nm) for nm in aux]
         return Space(self.N, legs + [quantum_leg(nm) for nm in self.site_names()])
 
-    def quantum_space(self):
-        return self.space()
-
     def current_space(self):
         """The legs of a current: the auxiliary leg z0, then the sites."""
         return self.space(["z0"])
@@ -250,7 +247,7 @@ def explicit_theta(rep, m):
     F = Qu
     u = F.gen
     N = rep.N
-    qspace = rep.quantum_space()
+    qspace = rep.space()
     L = represent_current(rep)
     trL = L.partial_trace(["z0"])
     if m == 1:
@@ -400,7 +397,7 @@ def quad_residue_check(rep):
     F = Qu
     L = represent_current(rep)
     trL2 = (L * L).partial_trace(["z0"])
-    qspace = rep.quantum_space()
+    qspace = rep.space()
     sites = rep.site_names()
     records = []
     ok = True

@@ -232,7 +232,7 @@ def mcal_collapsed(rep, m, with_D=False):
     """
     q = QU.gens[0]
     shift = q ** -2
-    qspace = rep.quantum_space()
+    qspace = rep.space()
     total = QDiffOp.zero(qspace, QU, shift)
     for k in range(0, m + 1):
         if k == 0:
@@ -380,7 +380,7 @@ def classical_limit_compare(rep, m, with_D=False):
     T = mcal_collapsed(rep, m, with_D)
     sring = SeriesRing("eps", Qu, m)
     lhs = {}
-    qspace = rep.quantum_space()
+    qspace = rep.space()
     for k in sorted(T.coeffs):
         inv = _uncleared(rep, k, m)
         tensor = T.coeffs[k].map_entries(

@@ -137,10 +137,6 @@ class DiffOp(OperatorPolynomial):
                     out[deg] = out[deg] + term if deg in out else term
         return DiffOp(self.space, self.ring, out)
 
-    def constant_term(self):
-        """Result of applying the operator to the constant function 1."""
-        return self.coefficient(0)
-
 
 class QDiffOp(OperatorPolynomial):
     """Polynomial in delta with tensor coefficients.

@@ -232,14 +232,24 @@ class TestModuleEntryPoint:
 class TestQlimit:
     def test_report_carries_note(self, tmp_path):
         out = tmp_path / "qlimit.json"
-        code = run(["qlimit", "--m", "1", "--out", str(out)])
+        code = run(["qlimit", "--m-max", "1", "--out", str(out)])
         assert code == 0
         doc = load(out)
         assert doc["pass"] is True
         assert "note" in doc
 
-    def test_m_bound(self, tmp_path):
+    def test_m_max_bound(self, tmp_path):
         out = tmp_path / "qlimit.json"
         for m in ("5", "0", "-1"):
-            assert run(["qlimit", "--m", m, "--out", str(out)]) == 2
+            assert run(["qlimit", "--m-max", m, "--out", str(out)]) == 2
             assert not out.exists()
+
+    def test_m_max_sets_the_orders(self, tmp_path):
+        out = tmp_path / "qlimit.json"
+        assert run(["qlimit", "--m-max", "3", "--out", str(out)]) == 0
+        doc = load(out)
+        assert doc["config"]["m_max"] == 3
+        matches = sorted(c["id"] for c in doc["checks"] if c["id"].startswith("qlimit/match"))
+        assert matches == [
+            "qlimit/match-m%d%s" % (m, tw) for m in (1, 2, 3) for tw in ("", "-twisted")
+        ]

@@ -8,6 +8,8 @@ from triggaudin.rationals import QQ, format_rational, parse_rational, rational
 from triggaudin.ratfun import FracField, PoleError, RatFun
 from triggaudin.series import SeriesRing, TruncSeries, TruncationError
 
+import field_tower
+
 F = FracField("u", QQ)
 u = F.gen
 
@@ -317,8 +319,8 @@ class TestTruncSeriesDivision:
 class TestTower:
     def test_bivariate_arithmetic(self):
         # Q(q)(u): coefficients are themselves rational functions
-        Fq = FracField("q", QQ)
-        Fu = FracField("u", Fq)
+        Fq = field_tower.FracField("q", QQ)
+        Fu = field_tower.FracField("u", Fq)
         q = Fu.embed(Fq.gen)
         uu = Fu.gen
         f = (q * uu - Fu.one) / (uu - Fu.one)

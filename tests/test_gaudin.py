@@ -103,7 +103,7 @@ class TestRoutes:
 
         top = theta.coefficient(1)
         expect = AuxTensor.scalar(
-            rep.quantum_space(), F, F.from_int(2 * rep.N) * F.gen
+            rep.space(), F, F.from_int(2 * rep.N) * F.gen
         )
         assert top == expect
 
@@ -214,7 +214,7 @@ class TestFamily:
         extract = gaudin.extract_family
 
         def with_diagonal(rep, m_max, shifted=False):
-            qspace = rep.quantum_space()
+            qspace = rep.space()
             diag = {(i, i): QQ.from_int(i + 1) for i in range(qspace.dim)}
             member = gaudin.FamilyMember(0, 0, ("poly", 0), AuxTensor(qspace, QQ, diag))
             return extract(rep, m_max, shifted) + [member]

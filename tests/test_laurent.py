@@ -10,8 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 from triggaudin import qside
 from triggaudin.laurent import Laurent, LaurentRing
 from triggaudin.rationals import QQ, rational
-from triggaudin.ratfun import FracField
 
+from field_tower import FracField
 from tower_reference import Qq, Qqu, lift, to_tower as to_qqu
 
 QUV = qside.QUV

@@ -158,8 +158,9 @@ class TestEpsExpansion:
         # q/(q+1) around q=1: 1/2 + eps/4 - ...
         q = qside.QU.gens[0]
         s = qside.eps_expand(q, 2) / qside.eps_expand(q + qside.QU.one, 2)
-        assert s.coefficient(0).constant_value() == rational(1, 2)
-        assert s.coefficient(1).constant_value() == rational(1, 4)
+        target = FracField("u", QQ)
+        assert s.coefficient(0) == target.embed(rational(1, 2))
+        assert s.coefficient(1) == target.embed(rational(1, 4))
 
     def test_eps_expand_with_u(self):
         # (q u)/(1 - u) has eps-coefficients u/(1-u) at orders 0 and 1

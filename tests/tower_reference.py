@@ -1,7 +1,10 @@
 """The q-side traced products on the Q(q)(u) tower, as a test reference.
 
-The package itself has no Q(q): tests that check an identity over the
-field, or compare against it, take :data:`Qq` from here.
+The package itself has no Q(q), and its rational functions serve Q
+only: the tower is built from the generic fields of :mod:`field_tower`,
+and tests that check an identity over Q(q), or compare against it, take
+:data:`Qq` from here.  :func:`eps_expand` returns series over the
+package's Q(u), :data:`triggaudin.gaudin.Qu`.
 
 Here the currents carry their R-matrix denominators, every entry is a
 reduced rational function in the tower Q(q)(u), and the products keep
@@ -13,11 +16,10 @@ Q[q^+-1, u^+-1]; the differential tests compare the two through
 
 from math import comb
 
-from triggaudin import qside
+from field_tower import FracField, RatFun, UniPoly
+from triggaudin import poly, qside, ratfun
 from triggaudin.gaudin import Qu
-from triggaudin.poly import UniPoly
 from triggaudin.rationals import QQ
-from triggaudin.ratfun import FracField, RatFun
 from triggaudin.rmatrices import (
     adjacent_q_chain,
     diag_shift_d,
@@ -118,7 +120,7 @@ def mcal(rep, m, with_D=False):
 
 def mcal_collapsed(rep, m, with_D=False):
     """(q-1)^(-m) sum_k (-1)^k C(m,k) newton(k) delta^k."""
-    qspace = rep.quantum_space()
+    qspace = rep.space()
     total = QDiffOp.zero(qspace, Qqu, SHIFT)
     for k in range(0, m + 1):
         if k == 0:
@@ -139,7 +141,7 @@ def eps_expand(f, order):
     den_rows = [c.expand_at(QQ.one, 0, order) for c in f.den.coeffs]
 
     def at(rows, j):
-        return RatFun.from_poly(UniPoly("u", QQ, [row[j] for row in rows]))
+        return ratfun.RatFun.from_poly(poly.UniPoly("u", QQ, [row[j] for row in rows]))
 
     num = TruncSeries("eps", Qu, order, [at(num_rows, j) for j in range(order + 1)])
     den = TruncSeries("eps", Qu, order, [at(den_rows, j) for j in range(order + 1)])
