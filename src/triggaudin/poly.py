@@ -108,6 +108,12 @@ class UniPoly:
         )
 
     @classmethod
+    def from_ints(cls, var, ints, den=1):
+        """The polynomial (ints[0] + ints[1] var + ...) / den, for int
+        numerators and a positive int den."""
+        return _new(var, ints, den)
+
+    @classmethod
     def const(cls, var, base, c):
         return cls(var, base, (c,))
 

@@ -285,27 +285,29 @@ def trace_identity_pi(m, subset, N):
 @lru_cache(maxsize=None)
 def _binomials(a, order):
     """C(a, 0), ..., C(a, order) for any integer a: the eps-coefficients
-    of (1 + eps)^a."""
-    out = [QQ.one]
+    of (1 + eps)^a.  Each is an integer, so the division is exact."""
+    out = [1]
     for t in range(1, order + 1):
-        out.append(out[-1] * (a - t + 1) / t)
+        out.append(out[-1] * (a - t + 1) // t)
     return tuple(out)
 
 
-def _u_laurent(terms):
-    """{exponent: c} in u as an element of Q(u), in canonical form.
+def _u_laurent(ints, den):
+    """sum_b ints[b] u^b / den, for {exponent: int}, as an element of
+    Q(u) in canonical form.
 
     A Laurent polynomial is num(u) / u^k with num(0) != 0 when k > 0, so
     num and the monic u^k are coprime and no gcd is needed.
     """
-    if not terms:
+    if not ints:
         return Qu.zero
-    low = min(min(terms), 0)
-    coeffs = [QQ.zero] * (max(terms) - low + 1)
-    for b, c in terms.items():
+    low = min(min(ints), 0)
+    coeffs = [0] * (max(ints) - low + 1)
+    for b, c in ints.items():
         coeffs[b - low] = c
-    den = UniPoly("u", QQ, [QQ.zero] * -low + [QQ.one])
-    return RatFun("u", QQ, UniPoly("u", QQ, coeffs), den, reduce=False)
+    num = UniPoly.from_ints("u", coeffs, den)
+    u_power = UniPoly.from_ints("u", [0] * -low + [1])
+    return RatFun("u", QQ, num, u_power, reduce=False)
 
 
 def eps_expand(f, order):
@@ -313,11 +315,12 @@ def eps_expand(f, order):
 
     Each q^a is expanded by the generalised binomial series
     (1 + eps)^a = sum_t C(a, t) eps^t, which also holds for a < 0.  The
-    coefficients are Laurent polynomials in u, returned as elements of
-    :data:`~triggaudin.gaudin.Qu`.
+    rows are summed on f's integer numerators over its one denominator;
+    the coefficients are Laurent polynomials in u, returned as elements
+    of :data:`~triggaudin.gaudin.Qu`.
     """
     rows = [{} for _ in range(order + 1)]
-    for (a, b), c in f.terms.items():
+    for (a, b), c in f.ints.items():
         for row, w in zip(rows, _binomials(a, order)):
             if w:
                 s = row.get(b, 0) + c * w
@@ -325,7 +328,7 @@ def eps_expand(f, order):
                     row[b] = s
                 else:
                     del row[b]
-    return TruncSeries("eps", Qu, order, [_u_laurent(row) for row in rows])
+    return TruncSeries("eps", Qu, order, [_u_laurent(row, f.den) for row in rows])
 
 
 def delta_power_in_derivatives(k, order):

@@ -51,7 +51,7 @@ low_polys = st.builds(
 
 
 class TestPolyGcd:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200, deadline=None, derandomize=True)
     @given(low_polys, low_polys)
     def test_matches_plain_euclid(self, a, b):
         assert a.gcd(b) == _euclid_gcd(a, b)
@@ -113,25 +113,25 @@ ratfuns = st.builds(
 
 
 class TestRatFunProperties:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     @given(ratfuns, ratfuns)
     def test_add_sub_roundtrip(self, a, b):
         assert (a + b) - b == a
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     @given(ratfuns, ratfuns)
     def test_mul_div_roundtrip(self, a, b):
         if not b.is_zero():
             assert (a * b) / b == a
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     @given(ratfuns, ratfuns)
     def test_leibniz(self, a, b):
         lhs = (a * b).derivative()
         rhs = a.derivative() * b + a * b.derivative()
         assert lhs == rhs
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     @given(ratfuns)
     def test_canonical(self, a):
         assert a.den.leading() == QQ.one
@@ -155,7 +155,7 @@ class TestExpandAt:
         f = F.one / (F.one - u)
         assert f.expand_at(rat(0), 0, 3) == [rat(1)] * 4
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, derandomize=True)
     @given(ratfuns)
     def test_taylor_matches(self, f):
         # Taylor coefficients at a non-pole reproduce f mod (u-p)^4
@@ -201,7 +201,7 @@ class TestPartialFractions:
         with pytest.raises(PoleError):
             f.partial_fractions([rat(1)])
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.lists(coeffs, min_size=1, max_size=4))
     def test_recombine_random(self, nc):
         den = (u - F.one) * (u - F.from_int(3)) * (u - F.from_int(3))
@@ -274,7 +274,7 @@ units = st.lists(coeffs, min_size=0, max_size=5).flatmap(
 class TestTruncSeriesDivision:
     """Exact division by y^v * unit, and integer powers."""
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     @given(series, units, st.integers(min_value=0, max_value=3))
     def test_mul_div_roundtrip(self, a, unit, v):
         b = _yseries([0] * v + unit)
@@ -282,7 +282,7 @@ class TestTruncSeriesDivision:
         assert q.order == min(a.order, b.order) - v
         assert q == a
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     @given(units, units, st.integers(0, 2), st.integers(1, 2))
     def test_non_divisible_dividend_raises(self, a_unit, b_unit, j, gap):
         # a vanishes to order exactly j, b to order j + gap > j
@@ -299,7 +299,7 @@ class TestTruncSeriesDivision:
         with pytest.raises(TruncationError):
             _yseries([], order=1) / _yseries([0, 0, 0, 1])
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     @given(series, st.integers(min_value=0, max_value=5))
     def test_pow_is_repeated_product(self, a, k):
         want = SeriesRing("y", QQ, a.order).one
@@ -307,7 +307,7 @@ class TestTruncSeriesDivision:
             want = want * a
         assert a ** k == want
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     @given(units, st.integers(min_value=1, max_value=4))
     def test_negative_pow_is_inverse_power(self, unit, k):
         a = _yseries(unit)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from triggaudin import qside
-from triggaudin.laurent import Laurent, LaurentRing
+from triggaudin.laurent import LaurentRing
 from triggaudin.rationals import QQ, rational
 
 from field_tower import FracField
@@ -33,21 +33,21 @@ nonzero_coeffs = st.builds(
     st.integers(min_value=1, max_value=4),
 )
 laurents = st.builds(
-    lambda terms: Laurent(QUV, terms),
+    QUV.from_terms,
     st.dictionaries(exponents, nonzero_coeffs, max_size=4),
 )
 monomials = st.builds(
-    lambda e, c: Laurent(QUV, {e: c}), exponents, nonzero_coeffs
+    lambda e, c: QUV.from_terms({e: c}), exponents, nonzero_coeffs
 )
 small = st.integers(min_value=-3, max_value=3)
 qu_laurents = st.builds(
-    lambda terms: Laurent(qside.QU, terms),
+    qside.QU.from_terms,
     st.dictionaries(st.tuples(small, small), nonzero_coeffs, max_size=4),
 )
 
 
 class TestAgainstTower:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, derandomize=True)
     @given(monomials)
     def test_map_of_monomial(self, m):
         ((exps, c),) = m.terms.items()
@@ -56,76 +56,72 @@ class TestAgainstTower:
             expect = expect * g ** e
         assert to_tower(m) == expect
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, derandomize=True)
     @given(laurents, laurents)
     # drawn under --hypothesis-seed=5: the tower's sum did not finish
     # while UniPoly.gcd ran the plain remainder sequence
     @example(
-        Laurent(
-            QUV,
+        QUV.from_terms(
             {
                 (-3, -2, -2): rational(-4, 3),
                 (2, -2, -3): rational(3, 4),
                 (3, -3, -2): rational(-5, 4),
                 (0, -2, 0): rational(5, 3),
-            },
+            }
         ),
-        Laurent(
-            QUV,
+        QUV.from_terms(
             {
                 (-1, 2, 0): rational(-5),
                 (-2, -3, -1): rational(-4),
                 (2, 1, -1): rational(1),
                 (0, -1, -3): rational(-5, 3),
-            },
+            }
         ),
     )
     def test_add_sub(self, a, b):
         assert to_tower(a + b) == to_tower(a) + to_tower(b)
         assert to_tower(a - b) == to_tower(a) - to_tower(b)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, derandomize=True)
     @given(laurents, laurents)
     def test_mul(self, a, b):
         assert to_tower(a * b) == to_tower(a) * to_tower(b)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, derandomize=True)
     @given(laurents)
     def test_neg(self, a):
         assert to_tower(-a) == -to_tower(a)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, derandomize=True)
     @given(laurents, monomials)
     def test_monomial_division(self, a, m):
         assert to_tower(a / m) == to_tower(a) / to_tower(m)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, derandomize=True)
     @given(monomials, st.integers(min_value=-4, max_value=4))
     def test_monomial_powers(self, m, k):
         assert to_tower(m ** k) == to_tower(m) ** k
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, derandomize=True)
     @given(laurents, laurents)
     # the tower's difference took seconds until UniPoly.gcd settled
     # monomial operands (here v^3 against the numerator) without division
     @example(
-        Laurent(
-            QUV,
+        QUV.from_terms(
             {
                 (0, -3, -1): rational(-1, 2),
                 (2, -1, -1): rational(-3, 2),
                 (-1, -2, -2): rational(1),
                 (3, -1, -3): rational(3),
-            },
+            }
         ),
-        Laurent(
-            QUV,
+        QUV.from_terms(
             {
                 (2, -1, -2): rational(2, 3),
                 (-3, -1, -2): rational(1, 3),
                 (-2, -1, -3): rational(4),
                 (-2, -2, -3): rational(-1, 2),
-            },
+            }
         ),
     )
     def test_zero_test_matches(self, a, b):
@@ -133,11 +129,11 @@ class TestAgainstTower:
 
 
 class TestScaleVar:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, derandomize=True)
     @given(qu_laurents, small, nonzero_coeffs)
     def test_against_tower(self, a, e, c):
         # u -> c q^e u in Q[q^+-1, u^+-1] and in Q(q)(u)
-        factor = Laurent(qside.QU, {(e, 0): c})
+        factor = qside.QU.from_terms({(e, 0): c})
         scalar = Qq.embed(c) * Qq.gen ** e
         assert to_qqu(a.scale_var(factor)) == to_qqu(a).scale_var(scalar)
 
