@@ -33,6 +33,7 @@ _DEFAULTS = {
     "shifted": False,
     "suite": "all",
     "out": None,
+    "timings": None,
     "workers": 1,
     "u_order": 3,
     "v_order": 3,
@@ -111,7 +112,7 @@ def resolve_config(args):
         raise UsageError("workers must be >= 1")
     try:
         values = [parse_rational(p) for p in cfg["points"]]
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise UsageError("points must be rationals like 3 or 1/2: %r" % (cfg["points"],))
     if len(values) != cfg["sites"]:
         raise UsageError(
@@ -178,7 +179,7 @@ def _exit_code(report):
 
 
 def cmd_verify(cfg):
-    report = run_suite(cfg["suite"], cfg, cfg["workers"])
+    report = run_suite(cfg["suite"], cfg, cfg["workers"], cfg["timings"])
     _emit(report, cfg["out"])
     return _exit_code(report)
 
@@ -236,6 +237,10 @@ def build_parser():
         "--suite",
         help="one of: %s" % ", ".join(SUITE_NAMES),
     )
+    p_ver.add_argument(
+        "--timings",
+        help="also write one JSON line per task (id, status, CPU seconds) here",
+    )
 
     p_ql = sub.add_parser("qlimit", help="classical-limit comparison report")
     common(p_ql)
@@ -284,6 +289,10 @@ def main(argv=None):
         raise UsageError("unknown command %r" % args.command)
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:
+        # tasks catch their own errors, so this is an output that cannot be written
+        print("error: cannot write output: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, ArithmeticError) as exc:
         print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)

@@ -25,6 +25,10 @@ reuse both routes verbatim.
 the q-side uses the same class with its own Laurent rings.
 """
 
+from fractions import Fraction
+from math import lcm
+
+from .kernels import sparse_add, sparse_matmul
 from .rationals import QQ
 from .ratfun import FracField
 from .tensor import AuxTensor, Space, aux_leg, quantum_leg, single_leg_matrix
@@ -124,6 +128,10 @@ class ThetaContext:
     t_{a+1}, quantum legs) of dimension N^(2+l); the traced operator
     lives on ``rest`` = (t_{a+1}, quantum legs) and is lifted back into
     ``work`` with its t_{a+1} renamed t_a for the next step.
+
+    The context keeps the chain X_1, X_2, ... of :meth:`theta_mbar` for
+    each ``shifted`` value, so theta_1, ..., theta_m taken together cost
+    one recursion to depth m, in whatever order they are asked for.
     """
 
     def __init__(self, current):
@@ -132,6 +140,7 @@ class ThetaContext:
         self.ring = current.ring
         self.quantum_legs = list(current.space.legs[1:])
         self._quantum_names = [leg.name for leg in self.quantum_legs]
+        self._chains = {}
 
     def script_l(self, space, aux, shifted):
         """The matrix differential operator 2u d/du [- rho] - current,
@@ -157,23 +166,35 @@ class ThetaContext:
         """A two-leg tensor on the auxiliary legs (ta, tb) of ``work``."""
         return tensor.place(work, "ta", "tb")
 
+    def _chain(self, shifted):
+        """The kept chain [X_1, X_2, ...] for ``shifted`` and its step data."""
+        if shifted not in self._chains:
+            work, rest = self._spaces()
+            self._chains[shifted] = (
+                [DiffOp.identity(rest, self.ring)],
+                work,
+                self._pair(permutation(self.N, self.ring), work),
+                self._pair(tc(self.N, self.ring), work),
+                self.script_l(work, "ta", shifted),
+                self.script_l(rest, "tb", shifted),
+            )
+        return self._chains[shifted]
+
     def theta_mbar(self, m, shifted=False):
         """theta_m through the right-multiplication recursion.
 
         X_1 = 1, X_{a+1} = tr_a(P_{a,a+1} (X_a L_a) + Tc_{a,a+1} X_a),
-        theta_m = tr_m(X_m L_m).
+        theta_m = tr_m(X_m L_m).  X_a does not depend on m, so the chain
+        is kept per ``shifted`` and extended only as far as m: theta_1,
+        ..., theta_m on one context run the recursion once.
         """
         if m < 1:
             raise ValueError("m must be >= 1")
-        work, rest = self._spaces()
-        P = self._pair(permutation(self.N, self.ring), work)
-        Tc = self._pair(tc(self.N, self.ring), work)
-        la = self.script_l(work, "ta", shifted)
-        X = DiffOp.identity(rest, self.ring)
-        for _ in range(1, m):
-            X = self._lift(X, work)
-            X = ((X * la).premul(P) + X.premul(Tc)).partial_trace(["ta"])
-        return (X * self.script_l(rest, "tb", shifted)).partial_trace(["tb"])
+        xs, work, P, Tc, la, lb = self._chain(bool(shifted))
+        while len(xs) < m:
+            X = self._lift(xs[-1], work)
+            xs.append(((X * la).premul(P) + X.premul(Tc)).partial_trace(["ta"]))
+        return (xs[m - 1] * lb).partial_trace(["tb"])
 
     def theta_generating(self, m, shifted=False):
         """theta_m as the y^m coefficient of the generating function.
@@ -365,20 +386,47 @@ def extract_family(rep, m_max, shifted=False):
     return family
 
 
+def cleared(op):
+    """An operator over Q as (int entries, d): op = entries / d, d > 0."""
+    d = lcm(*[v.denominator for v in op.entries.values()])
+    return {k: v.numerator * (d // v.denominator) for k, v in op.entries.items()}, d
+
+
+def commutator_entries(a, b):
+    """The sorted entries of [A, B] for cleared operators ``a``, ``b``.
+
+    The commutator is taken on the integers, A_int B_int - B_int A_int,
+    and only its nonzero entries are divided by d_a d_b, so the list is
+    empty exactly when A and B commute and otherwise equals the sorted
+    entries of the commutator over Q.
+    """
+    (ea, da), (eb, db) = a, b
+    ba = sparse_matmul(eb, ea)
+    comm = sparse_add(sparse_matmul(ea, eb), {k: -v for k, v in ba.items()})
+    d = da * db
+    return [(k, Fraction(v, d)) for k, v in sorted(comm.items())]
+
+
 def commutativity_report(family):
-    """Exact pairwise commutators; pass iff all vanish."""
+    """Exact pairwise commutators; pass iff all vanish.
+
+    Each member is cleared of denominators once, and every commutator
+    is taken on those integers (:func:`commutator_entries`); a failing
+    pair's witness is the commutator's sorted entries over Q.
+    """
+    ops = [cleared(member.op) for member in family]
     records = []
     ok = True
     for i in range(len(family)):
         for j in range(i + 1, len(family)):
-            comm = family[i].op.commutator(family[j].op)
-            good = comm.is_zero()
+            comm = commutator_entries(ops[i], ops[j])
+            good = not comm
             ok = ok and good
             records.append(
                 {
                     "pair": (family[i].label(), family[j].label()),
                     "zero": good,
-                    "witness": None if good else comm.sorted_entries(),
+                    "witness": None if good else comm,
                 }
             )
     return {"pass": ok, "pairs": records}

@@ -9,7 +9,9 @@ is recorded with status "error" instead of stopping the suite.
 """
 
 import itertools
+import json
 import random
+import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -213,16 +215,21 @@ def task_closing_series(N, points, m_max):
     """Coefficients of the closing cubic series commute with the family."""
     rep = gaudin.GaudinRep(N, _points(points))
     closing = gaudin.closing_series(rep)
-    ops = gaudin.partial_fraction_data(closing, list(rep.points))
-    family = gaudin.extract_family(rep, m_max)
+    ops = [
+        (loc, gaudin.cleared(op))
+        for loc, op in gaudin.partial_fraction_data(closing, list(rep.points))
+    ]
+    family = [
+        (member.label(), gaudin.cleared(member.op))
+        for member in gaudin.extract_family(rep, m_max)
+    ]
     bad = []
     for loc, op in ops:
-        for member in family:
-            comm = op.commutator(member.op)
-            if not comm.is_zero():
-                bad.append({"closing": list(map(str, loc)), "member": member.label()})
+        for label, member in family:
+            if gaudin.commutator_entries(op, member):
+                bad.append({"closing": list(map(str, loc)), "member": label})
     for (la, a), (lb, b) in itertools.combinations(ops, 2):
-        if not a.commutator(b).is_zero():
+        if gaudin.commutator_entries(a, b):
             bad.append({"pair": [list(map(str, la)), list(map(str, lb))]})
     return not bad, bad or None
 
@@ -644,57 +651,80 @@ def build_tasks(suite, cfg):
 
 
 def _dispatch(task):
-    """Run one task; an exception it raises becomes an "error" record.
+    """Run one task: its record and the process CPU seconds it took.
 
-    The traceback goes to stderr; the report keeps only the exception's
+    An exception the task raises becomes an "error" record.  The
+    traceback goes to stderr; the report keeps only the exception's
     type and message, so its bytes do not depend on file paths.
     """
     check_id, claim, fn_name, kwargs = task
+    t0 = time.process_time()
     try:
         ok, witness = globals()[fn_name](**kwargs)
     except Exception as exc:
         traceback.print_exc()
-        return error_record(check_id, claim, exc)
-    return record(check_id, claim, ok, witness)
+        rec = error_record(check_id, claim, exc)
+    else:
+        rec = record(check_id, claim, ok, witness)
+    return rec, time.process_time() - t0
 
 
 def _run_alone(task):
     """Run one task in a fresh one-worker pool; a worker that dies while
-    running it makes it an "error" record."""
+    running it makes it an "error" record, with no CPU time."""
     with ProcessPoolExecutor(max_workers=1) as ex:
         try:
             return ex.submit(_dispatch, task).result()
         except BrokenProcessPool as exc:
-            return error_record(task[0], task[1], exc)
+            return error_record(task[0], task[1], exc), None
 
 
-def run_tasks(tasks, workers=1):
-    """The records of the given task descriptors, in task order.
+def run_timed(tasks, workers=1):
+    """(record, CPU seconds) for each task descriptor, in task order.
 
     With several workers the tasks run in separate processes but the
     records come back in the same order, so the report built from them
-    is byte-identical for any worker count.  A worker that dies breaks
-    its pool and loses every unfinished task; each of those is run again
-    alone in a fresh pool, so only the task that kills its own worker is
-    recorded, as an "error".
+    is byte-identical for any worker count; each worker measures its
+    own task's CPU time.  A worker that dies breaks its pool and loses
+    every unfinished task; each of those is run again alone in a fresh
+    pool, so only the task that kills its own worker is recorded, as an
+    "error" with no CPU time (None).
     """
     if workers <= 1:
         return [_dispatch(t) for t in tasks]
-    records = []
+    results = []
     with ProcessPoolExecutor(max_workers=workers) as ex:
         for fut in [ex.submit(_dispatch, t) for t in tasks]:
             try:
-                records.append(fut.result())
+                results.append(fut.result())
             except BrokenProcessPool:
-                records.append(None)
-    return [
-        _run_alone(t) if rec is None else rec for t, rec in zip(tasks, records)
-    ]
+                results.append(None)
+    return [_run_alone(t) if res is None else res for t, res in zip(tasks, results)]
 
 
-def run_suite(suite, cfg, workers=1):
-    """Run a named suite and return the report dict."""
-    records = run_tasks(build_tasks(suite, cfg), workers)
+def run_tasks(tasks, workers=1):
+    """The records of the given task descriptors, in task order (see
+    :func:`run_timed`)."""
+    return [rec for rec, _ in run_timed(tasks, workers)]
+
+
+def write_timings(results, path):
+    """One JSON line per task: its id, status and CPU seconds (null when
+    its worker died).  Timings stay out of the report, whose bytes do
+    not depend on them."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for rec, cpu_s in results:
+            line = {"id": rec["id"], "status": rec["status"], "cpu_s": cpu_s}
+            fh.write(json.dumps(line) + "\n")
+
+
+def run_suite(suite, cfg, workers=1, timings=None):
+    """Run a named suite and return the report dict; with ``timings``, a
+    path, also write the tasks' timings there (:func:`write_timings`)."""
+    results = run_timed(build_tasks(suite, cfg), workers)
+    if timings:
+        write_timings(results, timings)
+    records = [rec for rec, _ in results]
     config_summary = {
         "N": cfg["N"],
         "points": list(cfg["points"]),

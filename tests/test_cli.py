@@ -67,6 +67,16 @@ class TestConfig:
     def test_malformed_point_rejected(self):
         assert run(["verify", "--points", "abc,2"]) == 2
 
+    def test_zero_denominator_point_rejected(self, capsys):
+        assert run(["hamiltonians", "--n", "2", "--points=1/0,2"]) == 2
+        assert "points must be rationals like 3 or 1/2" in capsys.readouterr().err
+
+    def test_zero_denominator_point_in_config_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("points = 1/0, 2\n")
+        assert run(["hamiltonians", "--config", str(cfg)]) == 2
+        assert "points must be rationals like 3 or 1/2" in capsys.readouterr().err
+
     def test_point_count_mismatch(self):
         assert run(["verify", "--points", "1,2,3", "--sites", "2"]) == 2
 
@@ -152,6 +162,32 @@ class TestVerify:
         assert serial == parallel
 
 
+class TestTimings:
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_report_bytes_do_not_depend_on_timings(self, tmp_path, workers):
+        plain, timed, lines = (tmp_path / n for n in ("a.json", "b.json", "t.jsonl"))
+        argv = ["verify", "--suite", "ybe", "--workers", workers]
+        assert run(argv + ["--out", str(plain)]) == 0
+        assert run(argv + ["--out", str(timed), "--timings", str(lines)]) == 0
+        assert plain.read_bytes() == timed.read_bytes()
+        timings = [json.loads(line) for line in lines.read_text().splitlines()]
+        checks = load(plain)["checks"]
+        assert [(t["id"], t["status"]) for t in timings] == [
+            (c["id"], c["status"]) for c in checks
+        ]
+        assert all(
+            set(t) == {"id", "status", "cpu_s"} and t["cpu_s"] >= 0 for t in timings
+        )
+
+
+    def test_unwritable_outputs_are_usage_errors(self, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        argv = ["verify", "--suite", "ybe"]
+        assert run(argv + ["--out", str(missing / "r.json")]) == 2
+        assert run(argv + ["--timings", str(missing / "t.jsonl")]) == 2
+        assert capsys.readouterr().err.count("cannot write output") == 2
+
+
 def _not_a_unit(*args, **kwargs):
     q = qside.QUV.gens[0]
     return qside.QUV.one / (q + qside.QUV.one), None
@@ -198,6 +234,9 @@ class TestFailureIsolation:
         records = run_tasks(suites.build_tasks("ybe", {"N": 2}), workers=2)
         assert [r["status"] for r in records] == ["pass", "error", "pass"]
         assert records[1]["witness"]["type"] == "BrokenProcessPool"
+        timings = [t for _, t in suites.run_timed(suites.build_tasks("ybe", {"N": 2}), 2)]
+        assert timings[1] is None
+        assert timings[0] >= 0 and timings[2] >= 0
         out = tmp_path / "report.json"
         code = run(["verify", "--suite", "ybe", "--workers", "2", "--out", str(out)])
         assert code == 3

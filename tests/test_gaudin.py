@@ -1,10 +1,13 @@
 """Representation-side operator families: routes, residues, commutators."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from triggaudin.rationals import QQ, rational
 from triggaudin.rmatrices import r_classical, tc
-from triggaudin.tensor import AuxTensor, single_leg_matrix
+from triggaudin.tensor import AuxTensor, aux_space, single_leg_matrix
 from triggaudin import gaudin, suites
 
 import full_space_routes
@@ -111,6 +114,23 @@ class TestRoutes:
     def test_equivalence_large(self, N, m):
         rep = gaudin.GaudinRep(N, [rational(1), rational(3)])
         assert gaudin.theta_generating(rep, m) == gaudin.theta_mbar(rep, m)
+
+
+class TestChainReuse:
+    """One context keeps the theta_mbar chain per shift: any order of m,
+    shifted and unshifted interleaved, gives what fresh contexts give."""
+
+    ORDER = [(3, False), (2, True), (1, False), (3, True), (2, False), (1, True)]
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_any_order_matches_fresh_contexts(self, N):
+        rep = gaudin.GaudinRep(N, [rational(1, 2), rational(3)])
+        ctx = gaudin.rep_context(rep)
+        for m, shifted in self.ORDER:
+            assert ctx.theta_mbar(m, shifted) == gaudin.theta_mbar(rep, m, shifted)
+        # negative control: the two shifts give different operators, so
+        # a chain shared between them could not pass the loop above
+        assert ctx.theta_mbar(2, True) != ctx.theta_mbar(2, False)
 
 
 # (N, points, m): one and two sites, m <= 3, and m = 4 at N = 2
@@ -230,3 +250,45 @@ class TestFamily:
         rep = gaudin.GaudinRep(1, [rational(1), rational(2)])
         fam = gaudin.extract_family(rep, 2)
         assert gaudin.commutativity_report(fam)["pass"]
+
+
+entries_4x4 = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 6)),
+    max_size=8,
+)
+
+
+class TestIntegerCommutators:
+    """Commutators on cleared integers against the commutator over Q."""
+
+    SPACE = aux_space(2, 2)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(entries_4x4, entries_4x4)
+    def test_matches_fraction_commutator(self, ea, eb):
+        a, b = AuxTensor(self.SPACE, QQ, ea), AuxTensor(self.SPACE, QQ, eb)
+        comm = gaudin.commutator_entries(gaudin.cleared(a), gaudin.cleared(b))
+        assert comm == a.commutator(b).sorted_entries()
+
+    def test_failing_pair_witness_is_exact(self):
+        rep = gaudin.GaudinRep(2, [rational(1, 2), rational(3)])
+        family = gaudin.extract_family(rep, 2)
+        space = family[0].op.space
+        diag = {(i, i): Fraction(i + 1, 3) for i in range(space.dim)}
+        foreign = gaudin.FamilyMember(0, 0, ("poly", 0), AuxTensor(space, QQ, diag))
+        report = gaudin.commutativity_report(family + [foreign])
+        assert not report["pass"]
+        failing = [p for p in report["pairs"] if not p["zero"]]
+        assert failing
+        by_label = {m.label(): m.op for m in family + [foreign]}
+        for p in failing:
+            a, b = (by_label[lbl] for lbl in p["pair"])
+            assert p["witness"] == a.commutator(b).sorted_entries()
+        # the witnesses carry non-integer values, so the division by
+        # d_a d_b is exercised
+        assert any(
+            v.denominator != 1 for p in failing for _, v in p["witness"]
+        )
+        # the family alone commutes, with no witness
+        assert gaudin.commutativity_report(family)["pass"]

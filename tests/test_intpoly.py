@@ -162,3 +162,60 @@ class TestRatFun:
         one = UniPoly.const("u", QQ, QQ.one)
         with pytest.raises(ValueError):
             RatFun("u", Qq, one, one)
+
+
+constants = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2, 3), Fraction(0)])
+polys = st.builds(lambda num: ratfun_pair(num, [Fraction(1)]), coeff_lists)
+same_den = st.builds(
+    lambda n1, n2, mults, c: (
+        ratfun_pair(n1, [c * x for x in pole_den(mults)]),
+        ratfun_pair(n2, [c * x for x in pole_den(mults)]),
+    ),
+    coeff_lists,
+    coeff_lists,
+    mult_lists,
+    rationals.filter(bool),
+)
+
+
+class TestRatFunShortcuts:
+    """The gcd-free paths of ``RatFun``: a constant factor, a denominator
+    1 in a sum, equal denominators and ``scale``, each against the
+    tower, which always takes the full path."""
+
+    @SETTINGS
+    @given(constants, ratfuns)
+    def test_constant_factor(self, c, fx):
+        (k, rk), (f, rf) = ratfun_pair([c], [Fraction(1)]), fx
+        same_ratfun(k * f, rk * rf)
+        same_ratfun(f * k, rf * rk)
+        same_ratfun(k * k, rk * rk)
+        same_ratfun(f.scale(c), rf.scale(c))
+
+    @SETTINGS
+    @given(polys, ratfuns)
+    def test_denominator_one(self, px, fx):
+        (p, rp), (f, rf) = px, fx
+        for a, b, ra, rb in ((p, f, rp, rf), (f, p, rf, rp), (p, p, rp, rp)):
+            same_ratfun(a + b, ra + rb)
+            same_ratfun(a - b, ra - rb)
+            same_ratfun(a * b, ra * rb)
+
+    @SETTINGS
+    @given(same_den)
+    def test_equal_denominators(self, pair_):
+        (f, rf), (g, rg) = pair_
+        same_ratfun(f + g, rf + rg)
+        same_ratfun(f - g, rf - rg)
+        same_ratfun(f - f, rf - rf)
+
+    def test_equal_denominators_cancel(self):
+        (f, rf), (g, rg) = ratfun_pair([1], [-1, 1]), ratfun_pair([-2, 1], [-1, 1])
+        one = FracField("u", QQ).one
+        assert f + g == one
+        same_ratfun(f + g, rf + rg)
+        # negative control: the sum left unreduced is (u - 1)/(u - 1), and
+        # a shortcut that skipped the reduction would give that instead
+        unreduced = RatFun("u", QQ, f.num + g.num, f.den, reduce=False)
+        assert unreduced != one
+        assert unreduced.num == unreduced.den
