@@ -186,8 +186,8 @@ def cmd_verify(cfg):
 
 def cmd_qlimit(cfg):
     """Classical-limit comparison plus the central-term expansion check."""
-    if not 1 <= cfg["m_max"] <= 4:
-        raise UsageError("qlimit supports 1 <= m_max <= 4, got %d" % cfg["m_max"])
+    if not 1 <= cfg["m_max"] <= 5:
+        raise UsageError("qlimit supports 1 <= m_max <= 5, got %d" % cfg["m_max"])
     report = run_suite("qlimit", cfg, cfg["workers"])
     report["note"] = (
         "classical current convention: the first-order coefficient of the "

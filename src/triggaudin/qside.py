@@ -43,7 +43,6 @@ from .tensor import AuxTensor, Space, aux_leg, chain
 from .weyl import QDiffOp
 from .gaudin import Qu, Sites, ThetaContext
 from .rmatrices import (
-    adjacent_q_chain,
     antisymmetrizer,
     diag_shift_d,
     f_series,
@@ -132,6 +131,12 @@ def bethe(rep, kind, k, with_D=False, ring=QU, q=None, u=None):
     the current at u q^{2-2a}, cleared as in :func:`qrep_current`, so the
     result is prod_{j<k} den(u q^{-2j}) times the traced product of the
     true currents.
+
+    The product is one :func:`~triggaudin.tensor.chain` that sums leg b_a
+    right after its last factor: the projector, then L_a on (b_a, sites)
+    for a = 1, ..., k, each followed by D_a when twisted.  D_a acts on b_a
+    alone, so it commutes with every later L and moving it next to L_a is
+    exact; leg b_a is summed as soon as L_a (and D_a) are applied.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -141,21 +146,18 @@ def bethe(rep, kind, k, with_D=False, ring=QU, q=None, u=None):
         raise ValueError("antisymmetrizer is computed only for k <= N")
     q, u = _gens(ring, q, u)
     bnames = ["b%d" % a for a in range(1, k + 1)]
-    space = rep.space(bnames)
     sites = rep.site_names()
     if kind == "antisym":
-        acc = antisymmetrizer(k, rep.N, ring, q).place(space, *bnames)
+        factors = [(antisymmetrizer(k, rep.N, ring, q), *bnames)]
     else:
-        acc = adjacent_q_chain(space, ring, q, range(k - 1, 0, -1))
-    for a in range(1, k + 1):
-        ua = u * q ** (2 - 2 * a)
-        La = qrep_current(rep, ring, q, ua)
-        acc = acc * La.place(space, bnames[a - 1], *sites)
-    if with_D:
-        D = diag_shift_d(rep.N, ring, q)
-        for nm in bnames:
-            acc = acc * D.place(space, nm)
-    return acc.partial_trace(bnames)
+        pq = q_permutation(rep.N, ring, q)
+        factors = [(pq, bnames[a - 1], bnames[a]) for a in range(k - 1, 0, -1)]
+    D = diag_shift_d(rep.N, ring, q) if with_D else None
+    for a, nm in enumerate(bnames, start=1):
+        factors.append((qrep_current(rep, ring, q, u * q ** (2 - 2 * a)), nm, *sites))
+        if with_D:
+            factors.append((D, nm))
+    return chain(rep.space(bnames), ring, factors, traced=bnames)
 
 
 def bethe_commut_check(rep, spec_a, spec_b):
@@ -195,31 +197,34 @@ def mcal(rep, m, with_D=False):
     den(u) = prod_i (q - u/(a_i q)), the delta^k coefficient is
     (q-1)^m prod_{j<k} den(u q^{-2j}) times the true one (see
     :func:`cleared_factor`), and every entry is a Laurent polynomial.
+
+    The recursion traces as it goes, like
+    :class:`~triggaudin.gaudin.ThetaContext`: nothing after step a acts on
+    leg t_a and the delta-shift acts entry by entry, so
+    X_{a+1} = tr_a(P_{a,a+1} X_a - P^q_{a,a+1} (X_a M_a)) and the result
+    is tr_m(X_m - X_m M_m).  X_a lives on (tb, sites) and each step works
+    in (ta, tb, sites), so the working space has dimension N^(2+l) for l
+    sites, not N^(m+l).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     q = QU.gens[0]
     shift = q ** -2
-    tnames = ["t%d" % a for a in range(1, m + 1)]
-    space = rep.space(tnames)
     sites = rep.site_names()
+    work = rep.space(["ta", "tb"])
+    rest = work.drop(["ta"])
     L = qrep_current(rep)
     if with_D:
         L = L * diag_shift_d(rep.N, QU, q).place(L.space, "z0")
-
-    def m_factor(a):
-        return QDiffOp(space, QU, {1: L.place(space, tnames[a - 1], *sites)}, shift)
-
-    pq = q_permutation(rep.N, QU, q)
-    pp = permutation(rep.N, QU)
-    X = QDiffOp.identity(space, QU, shift)
-    for a in range(1, m):
-        legs = (tnames[a - 1], tnames[a])
-        X = X.premul(pp.place(space, *legs)) - (X * m_factor(a)).premul(
-            pq.place(space, *legs)
-        )
-    X = X - X * m_factor(m)
-    return X.partial_trace(tnames)
+    m_ta = QDiffOp(work, QU, {1: L.place(work, "ta", *sites)}, shift)
+    m_tb = QDiffOp(rest, QU, {1: L.place(rest, "tb", *sites)}, shift)
+    pp = permutation(rep.N, QU).place(work, "ta", "tb")
+    pq = q_permutation(rep.N, QU, q).place(work, "ta", "tb")
+    X = QDiffOp.identity(rest, QU, shift)
+    for _ in range(1, m):
+        X = X.place(work, "ta", *sites)
+        X = (X.premul(pp) - (X * m_ta).premul(pq)).partial_trace(["ta"])
+    return (X - X * m_tb).partial_trace(["tb"])
 
 
 def mcal_collapsed(rep, m, with_D=False):
@@ -267,11 +272,10 @@ def trace_identity_pi(m, subset, N):
     factors = [
         (pq if a in inset else pp, names[a - 1], names[a]) for a in range(m - 1, 0, -1)
     ]
-    sandwich = chain(space, QU, factors)
-    if not subset:
-        return sandwich.trace() == QU.from_int(N)
     complement = [nm for i, nm in enumerate(names, start=1) if i not in inset]
-    traced = sandwich.partial_trace(complement)
+    traced = chain(space, QU, factors, traced=complement)
+    if not subset:
+        return traced.trace() == QU.from_int(N)
     legs = ["t%d" % a for a in subset]
     steps = range(len(subset) - 1, 0, -1)
     rhs = chain(traced.space, QU, [(pq, legs[t - 1], legs[t]) for t in steps])

@@ -276,16 +276,18 @@ def plain_cycle_chain(space, ring, indices):
     return _cycle_chain(space, ring, permutation(space.N, ring), indices)
 
 
-def tc_cycle_chain(space, ring, indices):
-    """Tc_{(c_k, ..., c_1)} = Tc_{c_{k-1} c_k} ... Tc_{c_1 c_2}."""
-    return _cycle_chain(space, ring, tc(space.N, ring), indices)
+def tc_cycle_chain(space, ring, indices, traced=()):
+    """Tc_{(c_k, ..., c_1)} = Tc_{c_{k-1} c_k} ... Tc_{c_1 c_2}, with the
+    ``traced`` legs summed as :func:`~triggaudin.tensor.chain` does."""
+    return _cycle_chain(space, ring, tc(space.N, ring), indices, traced)
 
 
-def _cycle_chain(space, ring, t, indices):
+def _cycle_chain(space, ring, t, indices, traced=()):
     """t_{c_{k-1} c_k} ... t_{c_1 c_2} for indices (c_k, ..., c_1)."""
     names = space.leg_names()
     pairs = zip(indices, indices[1:])
-    return chain(space, ring, [(t, names[b - 1], names[a - 1]) for a, b in pairs])
+    factors = [(t, names[b - 1], names[a - 1]) for a, b in pairs]
+    return chain(space, ring, factors, traced)
 
 
 def f_series(N, ring, q, order):

@@ -140,8 +140,8 @@ def task_trace_cycle(N, k):
     """Tracing the middle legs of the skew-cycle chain leaves the
     two-leg skew tensor (k even) or the off-diagonal flip (k odd)."""
     space = Space(N, [aux_leg("t%d" % i) for i in range(1, k + 1)])
-    chain = tc_cycle_chain(space, QQ, tuple(range(k, 0, -1)))
-    traced = chain.partial_trace(["t%d" % i for i in range(2, k)])
+    middle = ["t%d" % i for i in range(2, k)]
+    traced = tc_cycle_chain(space, QQ, tuple(range(k, 0, -1)), middle)
     tgt = (tc_bar if k % 2 else tc)(N, QQ).place(traced.space, "t1", "t%d" % k)
     diff = traced - tgt
     return diff.is_zero(), tensor_triplets(diff) or None
@@ -523,7 +523,7 @@ def _tasks_qside(cfg):
                 },
             )
         )
-    for m in range(1, min(cfg["m_max"], 4) + 1):
+    for m in range(1, min(cfg["m_max"], 5) + 1):
         for with_D in (False, True):
             out.append(
                 (
@@ -544,7 +544,7 @@ def _tasks_qside(cfg):
 
 def _tasks_qlimit(cfg):
     out = []
-    for m in range(1, min(cfg["m_max"], 4) + 1):
+    for m in range(1, min(cfg["m_max"], 5) + 1):
         for with_D in (False, True):
             out.append(
                 (

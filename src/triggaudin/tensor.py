@@ -8,12 +8,20 @@ deterministic.  There is no dense representation anywhere.
 
 The builders (:func:`single_leg_matrix`, :func:`two_leg_tensor`) build
 on the fixed auxiliary legs a1 and a1, a2 of :func:`aux_space`;
-:meth:`AuxTensor.place` alone moves a tensor onto other legs.  Only
-this module packs and unpacks flat indices (``Space.encode`` and
-``Space.decode``).
+:meth:`AuxTensor.place` alone moves a tensor onto other legs.
+:func:`chain` multiplies tensors on legs of a space and sums each
+traced leg right after its last factor, so a product over many
+auxiliary legs never holds all of them at once.
+
+Only this module packs and unpacks flat indices.  ``embed`` and
+``partial_trace`` do not decode entry by entry: ``embed`` adds one
+precomputed offset per source index and one per combination of the
+free legs, and ``partial_trace`` reads the traced digits and the kept
+index of a flat index from two tables, cached per (N, number of legs,
+traced positions).
 """
 
-import itertools
+from functools import lru_cache
 
 from .kernels import sparse_add, sparse_matmul
 
@@ -217,30 +225,19 @@ class AuxTensor:
             if nm not in target._pos:
                 raise ValueError("unknown target leg %r" % nm)
         N = target.N
+        n = target.nlegs
         tgt_positions = [target.position(assignment[nm]) for nm in src_names]
-        free_positions = [
-            i for i in range(target.nlegs) if i not in set(tgt_positions)
-        ]
-        strides = [N ** (target.nlegs - 1 - i) for i in range(target.nlegs)]
+        # the offset of each source index in the target, and of each
+        # combination of the free legs, both in row-major order
+        offsets = _offsets(N, n, tgt_positions)
+        taken = set(tgt_positions)
+        pads = _offsets(N, n, [i for i in range(n) if i not in taken])
         out = {}
-        free_combos = list(
-            itertools.product(range(N), repeat=len(free_positions))
-        )
         for (r, c), v in self.entries.items():
-            ridx = self.space.decode(r)
-            cidx = self.space.decode(c)
-            base_r = sum(
-                ridx[s] * strides[tgt_positions[s]] for s in range(len(src_names))
-            )
-            base_c = sum(
-                cidx[s] * strides[tgt_positions[s]] for s in range(len(src_names))
-            )
-            for combo in free_combos:
-                pad = sum(
-                    combo[t] * strides[free_positions[t]]
-                    for t in range(len(free_positions))
-                )
-                out[(base_r + pad, base_c + pad)] = v
+            br = offsets[r]
+            bc = offsets[c]
+            for pad in pads:
+                out[(br + pad, bc + pad)] = v
         return AuxTensor(target, self.ring, out)
 
     def place(self, target, *legs):
@@ -264,18 +261,13 @@ class AuxTensor:
         if len(positions) != len(names):
             missing = names - set(self.space.leg_names())
             raise ValueError("unknown legs in partial_trace: %r" % missing)
-        keep = [i for i in range(self.space.nlegs) if i not in positions]
-        new_space = Space(self.space.N, [self.space.legs[i] for i in keep])
+        new_space = self.space.drop(names)
+        traced, kept = _trace_split(self.space.N, self.space.nlegs, tuple(positions))
         out = {}
         for (r, c), v in self.entries.items():
-            ridx = self.space.decode(r)
-            cidx = self.space.decode(c)
-            if any(ridx[p] != cidx[p] for p in positions):
+            if traced[r] != traced[c]:
                 continue
-            key = (
-                new_space.encode([ridx[i] for i in keep]),
-                new_space.encode([cidx[i] for i in keep]),
-            )
+            key = (kept[r], kept[c])
             if key in out:
                 s = out[key] + v
                 if s:
@@ -301,17 +293,77 @@ class AuxTensor:
         return "AuxTensor(%r, nnz=%d)" % (self.space, len(self.entries))
 
 
-def chain(space, ring, factors):
-    """The product of two-leg tensors on leg pairs of ``space``.
+def chain(space, ring, factors, traced=()):
+    """The product of tensors on legs of ``space``, with the ``traced`` legs summed.
 
-    ``factors`` lists ``(tensor, leg_a, leg_b)`` triples; each tensor is
-    placed on its two legs and the factors multiply left to right in the
-    order given.  No factors gives the identity.
+    ``factors`` lists ``(tensor, leg, ...)`` tuples: each tensor is placed
+    with its i-th leg on the i-th named leg, and the factors multiply left
+    to right in the order given.  The running product starts from the
+    first factor and holds only the legs that some factor has reached and
+    that are not summed yet; a leg joins (as the identity) when a factor
+    first reaches it.  A leg in ``traced`` is summed right after its last
+    factor, since tr_a(A X B) = A tr_a(X) B when B does not act on leg a,
+    and a traced leg that no factor touches contributes a factor N.  The
+    result lives on ``space.drop(traced)``; no factors and nothing traced
+    give the identity.
     """
-    out = AuxTensor.identity(space, ring)
-    for t, a, b in factors:
-        out = out * t.place(space, a, b)
+    traced = set(traced)
+    legs_by_name = {leg.name: leg for leg in space.legs}
+    for nm in traced:
+        if nm not in legs_by_name or legs_by_name[nm].quantum:
+            raise ValueError("cannot trace leg %r of %r" % (nm, space))
+    last = {nm: i for i, (_, *legs) in enumerate(factors) for nm in legs}
+    out = None
+    for i, (t, *legs) in enumerate(factors):
+        if out is None:
+            out = t.place(_sub_space(space, legs), *legs)
+        else:
+            if not out.space._pos.keys() >= set(legs):
+                grown = _sub_space(space, set(legs).union(out.space._pos))
+                out = out.place(grown, *out.space.leg_names())
+            out = out * t.place(out.space, *legs)
+        done = [nm for nm in legs if nm in traced and last[nm] == i]
+        if done:
+            out = out.partial_trace(done)
+    target = space.drop(traced)
+    if out is None:
+        out = AuxTensor.identity(target, ring)
+    elif out.space != target:
+        out = out.place(target, *out.space.leg_names())
+    idle = len(traced - last.keys())
+    if idle:
+        out = out.scale(ring.from_int(space.N ** idle))
     return out
+
+
+def _sub_space(space, names):
+    """The legs of ``space`` named in ``names``, in the order of ``space``."""
+    return Space(space.N, [leg for leg in space.legs if leg.name in names])
+
+
+def _offsets(N, n, positions):
+    """The flat offset, in an n-leg space, of every index on the legs at
+    ``positions``, in row-major order over those legs."""
+    out = [0]
+    for p in positions:
+        stride = N ** (n - 1 - p)
+        out = [o + d * stride for o in out for d in range(N)]
+    return out
+
+
+@lru_cache(maxsize=64)
+def _trace_split(N, n, positions):
+    """Two tables over the flat indices of an n-leg space: the digits on
+    the legs at ``positions`` packed into one int, and the index on the
+    remaining legs.  Cached per (N, n, positions), at most 64 of them."""
+    pairs = [(0, 0)]
+    for i in range(n):
+        if i in positions:
+            pairs = [(t * N + d, k) for t, k in pairs for d in range(N)]
+        else:
+            pairs = [(t, k * N + d) for t, k in pairs for d in range(N)]
+    traced, kept = zip(*pairs)
+    return traced, kept
 
 
 def aux_space(N, k):

@@ -1,5 +1,6 @@
 """Command-line surface: config resolution, reports, exit codes."""
 
+import hashlib
 import json
 import multiprocessing
 import os
@@ -161,6 +162,16 @@ class TestVerify:
         parallel = report_bytes(run_suite("ybe", cfg, 2))
         assert serial == parallel
 
+    def test_n3_m3_report_is_pinned(self, tmp_path):
+        # a non-default size: the q-side products at N = 3, m = 3 beside
+        # criterion 12's default report
+        out = tmp_path / "report.json"
+        argv = ["verify", "--suite", "all", "--n", "3", "--m-max", "3"]
+        assert run(argv + ["--workers", "1", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "fcdd5de8f6879de3b912d5a31cc88dac21d84f69da09f360beb8a1c3e2a10846"
+        )
+
 
 class TestTimings:
     @pytest.mark.parametrize("workers", ["1", "2"])
@@ -279,7 +290,7 @@ class TestQlimit:
 
     def test_m_max_bound(self, tmp_path):
         out = tmp_path / "qlimit.json"
-        for m in ("5", "0", "-1"):
+        for m in ("6", "0", "-1"):
             assert run(["qlimit", "--m-max", m, "--out", str(out)]) == 2
             assert not out.exists()
 

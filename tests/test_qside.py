@@ -8,6 +8,7 @@ from triggaudin.rmatrices import r_quantum_scaled
 from triggaudin.series import SeriesRing, TruncSeries, TruncationError
 from triggaudin import qside, suites
 
+import full_space_q_routes
 import tower_reference
 from tower_reference import Q, U, Qqu, to_tower
 
@@ -83,6 +84,49 @@ class TestTracedProduct:
                 assert qside.trace_identity_pi(m, subset, 2)
 
 
+# (N, m): two sites, every product up to m
+FULL_SPACE_CASES = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3)]
+
+
+class TestAgainstFullSpace:
+    """The traced-as-they-go products against the full-space references."""
+
+    @staticmethod
+    def rep(N):
+        return qside.QRep(N, [rational(1, 2), rational(3)])
+
+    @pytest.mark.parametrize("with_D", [False, True])
+    @pytest.mark.parametrize("N, m", FULL_SPACE_CASES)
+    def test_mcal(self, N, m, with_D):
+        rep = self.rep(N)
+        assert qside.mcal(rep, m, with_D) == full_space_q_routes.mcal(rep, m, with_D)
+
+    @pytest.mark.parametrize("with_D", [False, True])
+    @pytest.mark.parametrize("N, m", FULL_SPACE_CASES)
+    def test_bethe(self, N, m, with_D):
+        rep = self.rep(N)
+        kinds = [("newton", m)] + ([("antisym", m)] if m <= N else [])
+        for kind, k in kinds:
+            got = qside.bethe(rep, kind, k, with_D)
+            assert got == full_space_q_routes.bethe(rep, kind, k, with_D)
+
+    def test_bethe_bivariate(self):
+        # the ring and argument of the fused commutator checks
+        rep = self.rep(2)
+        v = qside.QUV.gens[2]
+        for spec in (("antisym", 2, True), ("newton", 2, False)):
+            got = qside.bethe(rep, *spec, ring=qside.QUV, u=v)
+            assert got == full_space_q_routes.bethe(rep, *spec, ring=qside.QUV, u=v)
+
+    def test_twist_changes_the_product(self):
+        # negative control: the comparison above tells the twists apart
+        rep = self.rep(2)
+        assert qside.mcal(rep, 2, True) != full_space_q_routes.mcal(rep, 2, False)
+        assert qside.bethe(rep, "newton", 2, True) != full_space_q_routes.bethe(
+            rep, "newton", 2, False
+        )
+
+
 class TestAgainstTower:
     """The cleared Laurent products against the Q(q)(u) tower reference."""
 
@@ -151,6 +195,12 @@ class TestOracleTask:
     @pytest.mark.parametrize("with_D", [False, True])
     def test_oracle_m3(self, with_D):
         assert suites.task_mcal_oracle(2, ["1", "3"], 3, with_D) == (True, None)
+
+    @pytest.mark.parametrize("with_D", [False, True])
+    def test_oracle_and_limit_m5(self, with_D):
+        # the raised cap: both q-side tasks at m = 5
+        assert suites.task_mcal_oracle(2, ["1", "3"], 5, with_D) == (True, None)
+        assert suites.task_qlimit(2, ["1", "3"], 5, with_D) == (True, None)
 
 
 class TestEpsExpansion:

@@ -1,6 +1,9 @@
 """Sparse tensor operators: embedding, products, traces, kernels."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import Phase, find, given, settings, strategies as st
 
 from triggaudin.kernels import sparse_add
 from triggaudin.rationals import QQ, rational
@@ -8,10 +11,14 @@ from triggaudin.tensor import (
     AuxTensor,
     Space,
     aux_leg,
+    aux_space,
+    chain,
     quantum_leg,
     single_leg_matrix,
     two_leg_tensor,
 )
+
+import tensor_reference
 
 
 def e_matrix(N, i, j):
@@ -108,3 +115,140 @@ class TestEquality:
         assert AuxTensor.zero(sp, QQ) == AuxTensor.zero(sp, QQ)
         assert AuxTensor.zero(sp, QQ) != AuxTensor.zero(sp, Fu)
         assert len({AuxTensor.zero(sp, QQ), AuxTensor.zero(sp, Fu)}) == 2
+
+
+# -- offset indexing and traced chains against the references ----------
+
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
+
+values = st.builds(
+    Fraction,
+    st.integers(min_value=-5, max_value=5).filter(bool),
+    st.integers(min_value=1, max_value=3),
+)
+
+
+def tensors(N, k):
+    """Sparse tensors over QQ on the legs a1..ak."""
+    dim = N**k
+    index = st.integers(min_value=0, max_value=dim - 1)
+    entries = st.dictionaries(st.tuples(index, index), values, max_size=8)
+    return entries.map(lambda e: AuxTensor(aux_space(N, k), QQ, e))
+
+
+@st.composite
+def spaces(draw, min_legs=1):
+    """Spaces of 1-4 legs (N = 2) or 1-3 legs (N = 3), some of them quantum."""
+    N = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(min_value=min_legs, max_value=4 if N == 2 else 3))
+    quantum = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return Space(N, [quantum_leg("q%d" % i) if qu else aux_leg("x%d" % i)
+                     for i, qu in enumerate(quantum)])
+
+
+@st.composite
+def chain_cases(draw):
+    """(space, factors, traced): 0-4 factors of 1-3 legs each, and any
+    set of auxiliary legs to trace, touched by a factor or not."""
+    space = draw(spaces(min_legs=2))
+    names = space.leg_names()
+    factors = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        legs = draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True))
+        factors.append((draw(tensors(space.N, len(legs))), *legs))
+    aux = [leg.name for leg in space.legs if not leg.quantum]
+    traced = draw(st.sets(st.sampled_from(aux))) if aux else set()
+    return space, factors, traced
+
+
+def agrees(chain_fn, space, factors, traced):
+    """``chain_fn`` with ``traced`` equals the full product, then traced."""
+    return chain_fn(space, QQ, factors, traced) == chain(space, QQ, factors).partial_trace(
+        traced
+    )
+
+
+def early_chain(space, ring, factors, traced):
+    """A deliberately wrong chain: each traced leg is summed after its
+    second-to-last factor and comes back as the identity, so a later
+    factor on it multiplies the summed product."""
+    uses = {}
+    for i, (_, *legs) in enumerate(factors):
+        for nm in legs:
+            uses.setdefault(nm, []).append(i)
+    early = {nm: uses[nm][-2] for nm in traced if len(uses.get(nm, ())) > 1}
+    out = AuxTensor.identity(space, ring)
+    for i, (t, *legs) in enumerate(factors):
+        out = out * t.place(space, *legs)
+        for nm in sorted(nm for nm, j in early.items() if j == i):
+            summed = out.partial_trace([nm])
+            out = summed.place(space, *summed.space.leg_names())
+    return out.partial_trace(traced)
+
+
+class TestOffsetIndexing:
+    @SETTINGS
+    @given(st.data())
+    def test_embed_matches_decode_reference(self, data):
+        target = data.draw(spaces())
+        k = data.draw(st.integers(min_value=1, max_value=target.nlegs))
+        t = data.draw(tensors(target.N, k))
+        images = data.draw(st.permutations(target.leg_names()))[:k]
+        assignment = dict(zip(t.space.leg_names(), images))
+        got = t.embed(target, assignment)
+        want = tensor_reference.embed(t, target, assignment)
+        assert got.space == want.space
+        assert list(got.entries.items()) == list(want.entries.items())
+
+    @SETTINGS
+    @given(st.data())
+    def test_partial_trace_matches_decode_reference(self, data):
+        space = data.draw(spaces())
+        t = data.draw(tensors(space.N, space.nlegs)).place(space, *space.leg_names())
+        aux = [leg.name for leg in space.legs if not leg.quantum]
+        names = data.draw(st.sets(st.sampled_from(aux))) if aux else set()
+        got = t.partial_trace(names)
+        want = tensor_reference.partial_trace(t, names)
+        assert got.space == want.space
+        assert list(got.entries.items()) == list(want.entries.items())
+
+
+class TestTracedChain:
+    @SETTINGS
+    @given(chain_cases())
+    def test_traced_chain_equals_chain_then_trace(self, case):
+        space, factors, traced = case
+        assert chain(space, QQ, factors, traced).space == space.drop(traced)
+        assert agrees(chain, space, factors, traced)
+
+    def test_untouched_traced_legs_give_n(self):
+        space = aux_space(3, 3)
+        got = chain(space, QQ, [(e_matrix(3, 1, 1), "a2")], ["a1", "a2", "a3"])
+        assert got.entries == {(0, 0): rational(9)}
+        assert chain(space, QQ, [], ["a2"]) == AuxTensor.scalar(
+            space.drop(["a2"]), QQ, rational(3)
+        )
+
+    def test_quantum_and_unknown_legs_refused(self):
+        space = Space(2, [aux_leg("a"), quantum_leg("s")])
+        with pytest.raises(ValueError):
+            chain(space, QQ, [], ["s"])
+        with pytest.raises(ValueError):
+            chain(space, QQ, [], ["b"])
+
+    def test_summing_one_factor_early_fails(self):
+        # negative control: tr(e12 e21) = 1 but tr(e12) tr-after-e21 = 0
+        space = aux_space(2, 2)
+        factors = [(e_matrix(2, 1, 2), "a1"), (e_matrix(2, 2, 1), "a1")]
+        assert agrees(chain, space, factors, {"a1"})
+        assert not agrees(early_chain, space, factors, {"a1"})
+
+    def test_drawn_cases_catch_the_early_sum(self):
+        # the drawn cases include one where a later factor acts on a
+        # summed leg, so the differential test above cannot pass vacuously
+        space, factors, traced = find(
+            chain_cases(),
+            lambda case: not agrees(early_chain, *case),
+            settings=settings(SETTINGS, phases=[Phase.generate]),
+        )
+        assert factors and traced
