@@ -9,10 +9,23 @@ i < j) before annihilation modes (n > 0, or n = 0 with i >= j), so a
 normal-ordered monomial kills the vacuum exactly when it contains any
 annihilation mode; that makes the vacuum action a suffix check.
 
+Coefficients are Python ints except where the central term's -1/N
+enters, so they lie in Z[1/N] and only those terms are ``Fraction``s;
+the theta coefficients and their commutators are products of creation
+and zero modes, which never meet the central term, so they stay ints.
+An int and the ``Fraction`` of the same value render, compare and hash
+alike.
+
+Normal forms are cached per N at module level: every ``PBWAlg(N)``
+reads and fills the same word -> terms dict, so the two products of a
+commutator and every later task reuse each other's work.
+
 Feasibility: normal-ordering cost is combinatorial, so the theta
 builders enforce a documented envelope (N = 2, m <= 3, u-order <= 4)
 with explicit errors.
 """
+
+from fractions import Fraction
 
 from .kernels import sparse_add
 from .rationals import QQ
@@ -132,15 +145,19 @@ class PBWElement:
         return " + ".join(parts)
 
 
+# N -> {word: terms of its normal form}, shared by every PBWAlg(N)
+_NORMAL_FORMS = {}
+
+
 class PBWAlg:
     """Ring descriptor for the mode algebra at a fixed N."""
 
     def __init__(self, N):
         self.N = N
-        # word -> terms of its normal form; the cache holds no element,
-        # so nothing in it points back at the algebra and the algebra is
-        # freed by reference counting once its last element is dropped
-        self._no_cache = {}
+        # the cache holds plain terms and no element, so nothing in it
+        # points back at an algebra, and an algebra is freed by reference
+        # counting once its last element is dropped
+        self._no_cache = _NORMAL_FORMS.setdefault(N, {})
 
     @property
     def zero(self):
@@ -148,12 +165,12 @@ class PBWAlg:
 
     @property
     def one(self):
-        return PBWElement(self, {((), 0): QQ.one})
+        return PBWElement(self, {((), 0): 1})
 
     def from_int(self, n):
         if n == 0:
             return self.zero
-        return PBWElement(self, {((), 0): QQ.from_int(n)})
+        return PBWElement(self, {((), 0): n})
 
     def embed(self, c):
         if not c:
@@ -161,13 +178,13 @@ class PBWAlg:
         return PBWElement(self, {((), 0): c})
 
     def generator(self, i, j, n, coeff=None):
-        c = QQ.one if coeff is None else coeff
+        c = 1 if coeff is None else coeff
         if not c:
             return self.zero
         return PBWElement(self, {((mode(i, j, n),), 0): c})
 
     def central(self):
-        return PBWElement(self, {((), 1): QQ.one})
+        return PBWElement(self, {((), 1): 1})
 
     def bracket(self, a, b):
         """[E_ij[r], E_kl[s]] as a PBWElement."""
@@ -175,20 +192,19 @@ class PBWAlg:
         s, k, l = b
         out = {}
         if k == j:
-            out[((mode(i, l, r + s),), 0)] = QQ.one
+            out[((mode(i, l, r + s),), 0)] = 1
         if i == l:
             key = ((mode(k, j, r + s),), 0)
-            out[key] = out.get(key, QQ.zero) - QQ.one
+            out[key] = out.get(key, 0) - 1
         if r == -s and r != 0:
-            c = QQ.zero
-            if k == j and i == l:
-                c = c + QQ.one
+            c = r if k == j and i == l else 0
             if i == j and k == l:
-                c = c - QQ.one / QQ.from_int(self.N)
-            c = c * QQ.from_int(r)
+                # the one place a coefficient leaves Z: -r/N
+                c = Fraction(c * self.N - r, self.N)
+                if c.denominator == 1:
+                    c = c.numerator
             if c:
-                key = ((), 1)
-                out[key] = out.get(key, QQ.zero) + c
+                out[((), 1)] = c
         return PBWElement(self, out, clean=True)
 
     def normal_order(self, word):
@@ -202,7 +218,7 @@ class PBWAlg:
                 pos = t
                 break
         if pos is None:
-            result = PBWElement(self, {(word, 0): QQ.one})
+            result = PBWElement(self, {(word, 0): 1})
         else:
             swapped = word[:pos] + (word[pos + 1], word[pos]) + word[pos + 2:]
             terms = dict(self.normal_order(swapped).terms)
@@ -243,16 +259,16 @@ class CurrentModes:
         if n < 0:
             raise ValueError("upper current has nonnegative u-powers only")
         if n == 0:
-            return self.alg.generator(i, j, 0, QQ.from_int(-(1 + sign(j - i))))
-        return self.alg.generator(i, j, -n, QQ.from_int(-2))
+            return self.alg.generator(i, j, 0, -(1 + sign(j - i)))
+        return self.alg.generator(i, j, -n, -2)
 
     def minus_mode(self, i, j, n):
         """Coefficient of v^{-n} in the lower current entry (i, j), n >= 0."""
         if n < 0:
             raise ValueError("lower current has nonpositive u-powers only")
         if n == 0:
-            return self.alg.generator(i, j, 0, QQ.from_int(1 + sign(i - j)))
-        return self.alg.generator(i, j, n, QQ.from_int(2))
+            return self.alg.generator(i, j, 0, 1 + sign(i - j))
+        return self.alg.generator(i, j, n, 2)
 
 
 FEASIBLE_N = 2
@@ -316,17 +332,30 @@ def commute_check(N, m1, m2, orders, shifted=False):
     ``orders`` is an iterable of (k, d) pairs applied to both m-values;
     missing coefficients are skipped.  Pass iff every commutator is
     identically zero in the PBW basis.
+
+    When the two selections are equal, each unordered pair is computed
+    once: [x, x] = 0 and [y, x] = -[x, y] hold exactly, since the
+    normal-ordered form is canonical.
     """
     u_order = max((d for (_, d) in orders), default=0)
     t1 = theta_symbolic(N, m1, u_order, shifted)
     t2 = theta_symbolic(N, m2, u_order, shifted)
     sel1 = [(kd, t1[kd]) for kd in sorted(orders) if kd in t1]
     sel2 = [(kd, t2[kd]) for kd in sorted(orders) if kd in t2]
+    same = sel1 == sel2
+    done = {}
     records = []
     ok = True
-    for kd1, x in sel1:
-        for kd2, y in sel2:
-            comm = x.commutator(y)
+    for a, (kd1, x) in enumerate(sel1):
+        for b, (kd2, y) in enumerate(sel2):
+            if not same:
+                comm = x.commutator(y)
+            elif a == b:
+                comm = x.alg.zero
+            elif a < b:
+                comm = done[a, b] = x.commutator(y)
+            else:
+                comm = -done.pop((b, a))
             good = comm.is_zero()
             ok = ok and good
             records.append(
@@ -351,7 +380,7 @@ def vacuum_invariance_check(N, m, orders, v_order, shifted=True):
     coeffs = theta_symbolic(N, m, u_order, shifted)
     alg = PBWAlg(N)
     cm = CurrentModes(alg)
-    k_value = QQ.from_int(-N)
+    k_value = -N
     records = []
     ok = True
     for kd in sorted(orders):

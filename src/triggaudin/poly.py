@@ -18,28 +18,12 @@ reference.
 from fractions import Fraction
 from math import gcd, lcm
 
-from .rationals import QQ
+from .rationals import QQ, normal_ints
 
 
 def check_base(base):
     if base != QQ:
         raise ValueError("only QQ is served, not %r" % (base,))
-
-
-def _normal(ints, den):
-    """(ints, den) without trailing zeros, divided by their common gcd."""
-    n = len(ints)
-    while n and not ints[n - 1]:
-        n -= 1
-    if not n:
-        return (), 1
-    if n < len(ints):
-        ints = ints[:n]
-    if den != 1:
-        g = gcd(den, *ints)
-        if g != 1:
-            return tuple([c // g for c in ints]), den // g
-    return tuple(ints), den
 
 
 def _raw(var, ints, den):
@@ -53,7 +37,7 @@ def _raw(var, ints, den):
 
 def _new(var, ints, den):
     """The polynomial ints / den for any ints and a positive den."""
-    return _raw(var, *_normal(ints, den))
+    return _raw(var, *normal_ints(ints, den))
 
 
 def _primitive(ints):
@@ -103,7 +87,7 @@ class UniPoly:
         check_base(base)
         den = lcm(*[c.denominator for c in coeffs])
         self.var = var
-        self.ints, self.den = _normal(
+        self.ints, self.den = normal_ints(
             [c.numerator * (den // c.denominator) for c in coeffs], den
         )
 
@@ -263,7 +247,7 @@ class UniPoly:
                 return _raw(self.var, (0,) * k + (1,), 1)
         a, b = _primitive(a.ints), _primitive(b.ints)
         while len(b) > 1:
-            rem = _normal(_pseudo_divmod(a, b)[2], 1)[0]
+            rem = normal_ints(_pseudo_divmod(a, b)[2], 1)[0]
             if not rem:
                 return _raw(self.var, tuple(b), b[-1])
             a, b = b, _primitive(rem)

@@ -38,7 +38,7 @@ from .laurent import LaurentRing
 from .poly import UniPoly
 from .rationals import QQ
 from .ratfun import RatFun
-from .series import SeriesRing, TruncSeries
+from .series import QSeriesRing, SeriesRing, TruncSeries
 from .tensor import AuxTensor, Space, aux_leg, chain
 from .weyl import QDiffOp
 from .gaudin import Qu, Sites, ThetaContext
@@ -434,7 +434,7 @@ def prop_central_term_check(N, c, x_order):
     4 c x / (1-x)^2 (P - 1/N), with Rbar = f R an x-series over eps-series
     at q = 1 + eps; x -> x q^(+-c) scales x^k by q^(+-ck).
     """
-    E = SeriesRing("eps", QQ, _eps_order(x_order))
+    E = QSeriesRing("eps", _eps_order(x_order))
     q = E.one + E.gen
     SR = SeriesRing("x", E, x_order)
     Q, x = SR.embed(q), SR.gen
@@ -452,7 +452,7 @@ def prop_central_term_check(N, c, x_order):
 
 def f_series_first_order_check(N, order):
     """Every f-series coefficient f_k, k >= 1, is 2(N-1)/N eps + O(eps^2)."""
-    E = SeriesRing("eps", QQ, _eps_order(order))
+    E = QSeriesRing("eps", _eps_order(order))
     f = f_series(N, E, E.one + E.gen, order)
     want = QQ.from_int(2 * (N - 1)) / QQ.from_int(N)
     for k in range(1, order + 1):

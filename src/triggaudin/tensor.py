@@ -13,12 +13,12 @@ on the fixed auxiliary legs a1 and a1, a2 of :func:`aux_space`;
 traced leg right after its last factor, so a product over many
 auxiliary legs never holds all of them at once.
 
-Only this module packs and unpacks flat indices.  ``embed`` and
-``partial_trace`` do not decode entry by entry: ``embed`` adds one
-precomputed offset per source index and one per combination of the
-free legs, and ``partial_trace`` reads the traced digits and the kept
-index of a flat index from two tables, cached per (N, number of legs,
-traced positions).
+Only this module packs flat indices.  ``embed`` and ``partial_trace``
+do not unpack them entry by entry: ``embed`` adds one precomputed
+offset per source index and one per combination of the free legs, and
+``partial_trace`` reads the traced digits and the kept index of a flat
+index from two tables, cached per (N, number of legs, traced
+positions).
 """
 
 from functools import lru_cache
@@ -90,13 +90,6 @@ class Space:
         for i in idx:
             out = out * self.N + i
         return out
-
-    def decode(self, flat):
-        out = [0] * len(self.legs)
-        for p in range(len(self.legs) - 1, -1, -1):
-            out[p] = flat % self.N
-            flat //= self.N
-        return tuple(out)
 
     def drop(self, names):
         return Space(self.N, [leg for leg in self.legs if leg.name not in names])

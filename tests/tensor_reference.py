@@ -2,12 +2,21 @@
 
 :meth:`triggaudin.tensor.AuxTensor.embed` and ``partial_trace`` index
 by precomputed offsets; these are the entry-by-entry versions they
-replaced, built on ``Space.decode`` and ``Space.encode`` alone.
+replaced, built on :func:`decode` and ``Space.encode`` alone.
 """
 
 import itertools
 
 from triggaudin.tensor import AuxTensor, Space
+
+
+def decode(space, flat):
+    """Unpack a flat index of ``space`` into per-leg indices (0-based)."""
+    out = [0] * space.nlegs
+    for p in range(space.nlegs - 1, -1, -1):
+        out[p] = flat % space.N
+        flat //= space.N
+    return tuple(out)
 
 
 def embed(tensor, target, assignment):
@@ -20,8 +29,8 @@ def embed(tensor, target, assignment):
     out = {}
     free_combos = list(itertools.product(range(N), repeat=len(free_positions)))
     for (r, c), v in tensor.entries.items():
-        ridx = tensor.space.decode(r)
-        cidx = tensor.space.decode(c)
+        ridx = decode(tensor.space, r)
+        cidx = decode(tensor.space, c)
         base_r = sum(ridx[s] * strides[tgt_positions[s]] for s in range(len(src_names)))
         base_c = sum(cidx[s] * strides[tgt_positions[s]] for s in range(len(src_names)))
         for combo in free_combos:
@@ -40,8 +49,8 @@ def partial_trace(tensor, names):
     new_space = Space(space.N, [space.legs[i] for i in keep])
     out = {}
     for (r, c), v in tensor.entries.items():
-        ridx = space.decode(r)
-        cidx = space.decode(c)
+        ridx = decode(space, r)
+        cidx = decode(space, c)
         if any(ridx[p] != cidx[p] for p in positions):
             continue
         key = (

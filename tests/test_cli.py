@@ -172,6 +172,16 @@ class TestVerify:
             "fcdd5de8f6879de3b912d5a31cc88dac21d84f69da09f360beb8a1c3e2a10846"
         )
 
+    def test_qlimit_x16_report_is_pinned(self, tmp_path):
+        # the central-term and normalizer checks at an x-order (and so an
+        # eps-order) beyond the default 8
+        out = tmp_path / "report.json"
+        argv = ["verify", "--suite", "qlimit", "--x-order", "16"]
+        assert run(argv + ["--workers", "1", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "9513135ca913967ddd5888ffa212a00efa4684e6fd875e0c3d100e97ee6d174a"
+        )
+
 
 class TestTimings:
     @pytest.mark.parametrize("workers", ["1", "2"])

@@ -6,12 +6,16 @@ from hypothesis import given, settings, strategies as st
 from triggaudin.poly import UniPoly
 from triggaudin.rationals import QQ, format_rational, parse_rational, rational
 from triggaudin.ratfun import FracField, PoleError, RatFun
-from triggaudin.series import SeriesRing, TruncSeries, TruncationError
+from triggaudin.series import QSeriesRing, SeriesRing, TruncSeries, TruncationError
 
 import field_tower
 
 F = FracField("u", QQ)
 u = F.gen
+
+
+# the eps-series rings over Q of a given order: generic and integer
+EPS_RINGS = (lambda n: SeriesRing("eps", QQ, n), lambda n: QSeriesRing("eps", n))
 
 
 def rat(p, q=1):
@@ -252,13 +256,15 @@ class TestTruncSeries:
     def test_trailing_zero_keeps_its_truncation_order(self):
         # an eps-series with no known nonzero term, known to fewer orders
         # than the ring's zero, is not an exact zero: reading past its
-        # order raises; a trailing zero known as far as E.zero is dropped
-        E = SeriesRing("eps", QQ, 3)
-        short = TruncSeries("eps", QQ, 0, [])
-        s = TruncSeries("x", E, 2, [E.one, E.zero, short])
-        with pytest.raises(TruncationError):
-            s.coefficient(2).coefficient(1)
-        assert TruncSeries("x", E, 2, [E.one, E.zero, E.zero]).coeffs == (E.one,)
+        # order raises; a trailing zero known as far as E.zero is dropped;
+        # the same for the generic and the integer-numerator eps-series
+        for eps_ring in EPS_RINGS:
+            E = eps_ring(3)
+            short = eps_ring(0).zero
+            s = TruncSeries("x", E, 2, [E.one, E.zero, short])
+            with pytest.raises(TruncationError):
+                s.coefficient(2).coefficient(1)
+            assert TruncSeries("x", E, 2, [E.one, E.zero, E.zero]).coeffs == (E.one,)
 
 
 def _yseries(cs, order=5):

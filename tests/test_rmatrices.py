@@ -26,7 +26,7 @@ from triggaudin.rmatrices import (
     tc,
     tc_bar,
 )
-from triggaudin.series import SeriesRing, TruncSeries
+from triggaudin.series import QSeriesRing, SeriesRing, TruncSeries
 from triggaudin.tensor import AuxTensor, Space, aux_leg
 
 from tower_reference import Qq
@@ -280,16 +280,17 @@ class TestNormalizerSeries:
 
     @pytest.mark.parametrize("N", [2, 3, 4, 5])
     def test_eps_series_is_the_expansion_at_one(self, N):
-        # f over eps-series at q = 1 + eps against the Q(q) instance
-        # expanded at q = 1: no pole there, and equal eps-coefficients on
-        # the eps window each f_k keeps (f_k loses k orders of E = 6)
+        # f over eps-series at q = 1 + eps, generic and integer, against
+        # the Q(q) instance expanded at q = 1: no pole there, and equal
+        # eps-coefficients on the eps window each f_k keeps (f_k loses k
+        # orders of E = 6)
         order = 4
-        E = SeriesRing("eps", QQ, order + 2)
-        f_eps = f_series(N, E, E.one + E.gen, order)
         f_q = f_series(N, Qq, Qq.gen, order)
-        for k in range(order + 1):
-            fk = f_eps.coefficient(k)
-            assert fk.order == E.order - k
-            exp = f_q.coefficient(k).expand_at(QQ.one, -3, 2)
-            assert exp[:3] == [QQ.zero] * 3
-            assert exp[3:] == [fk.coefficient(t) for t in range(3)]
+        for E in (SeriesRing("eps", QQ, order + 2), QSeriesRing("eps", order + 2)):
+            f_eps = f_series(N, E, E.one + E.gen, order)
+            for k in range(order + 1):
+                fk = f_eps.coefficient(k)
+                assert fk.order == E.order - k
+                exp = f_q.coefficient(k).expand_at(QQ.one, -3, 2)
+                assert exp[:3] == [QQ.zero] * 3
+                assert exp[3:] == [fk.coefficient(t) for t in range(3)]
