@@ -23,14 +23,22 @@ reuse both routes verbatim.
 
 :class:`Sites` holds the sites of a representation (N and the points);
 the q-side uses the same class with its own Laurent rings.
+
+The representation side's coefficients live in :data:`Qu`, Q(u)
+localised at the rational linear factors
+(:class:`~triggaudin.polering.PoleRing`): the current's entries have
+poles only at the sites, every element carries its own poles, so one
+ring serves every set of sites, and no step takes a polynomial gcd.
+The partial fractions of :func:`extract_family` and the residues of
+:func:`quad_residue_check` are integer Taylor expansions at the poles.
 """
 
 from fractions import Fraction
 from math import lcm
 
 from .kernels import sparse_add, sparse_matmul
+from .polering import PoleRing
 from .rationals import QQ
-from .ratfun import FracField
 from .tensor import AuxTensor, Space, aux_leg, quantum_leg, single_leg_matrix
 from .weyl import DiffOp
 from .rmatrices import (
@@ -43,8 +51,9 @@ from .rmatrices import (
 )
 
 
-# the field of the classical side's coefficients
-Qu = FracField("u", QQ)
+# the ring of the classical side's coefficients: Q(u) localised at the
+# rational linear factors, one ring for every set of sites
+Qu = PoleRing("u")
 
 
 class Sites:
@@ -349,10 +358,9 @@ def partial_fraction_data(tensor, poles):
     poly_ops = {}
     for (r, c), f in tensor.sorted_entries():
         poly, parts = f.partial_fractions(poles)
-        if poly is not None:
-            for d, coeff in enumerate(poly.coeffs):
-                if coeff:
-                    poly_ops.setdefault(d, {})[(r, c)] = coeff
+        for d, coeff in enumerate(poly):
+            if coeff:
+                poly_ops.setdefault(d, {})[(r, c)] = coeff
         for a, coeffs in parts.items():
             for idx, coeff in enumerate(coeffs):
                 if coeff:

@@ -10,7 +10,7 @@ operator polynomials share.
 def sparse_matmul(a, b):
     """Multiply sparse matrices stored as {(row, col): value} dicts.
 
-    Values may live in any exact ring (Fraction, RatFun, TruncSeries,
+    Values may live in any exact ring (Fraction, PoleFun, TruncSeries,
     PBW elements); the only requirements are ``+``, ``*`` and
     truthiness as a zero test.  Zero results are dropped.
     """

@@ -20,7 +20,12 @@ exactly when it holds there, and the cleared scalar factor is the same
 nonzero element on both sides of every comparison.  The classical limit
 puts q = 1 + eps into the Laurent entries and divides by the eps-series
 of the cleared factor (:func:`cleared_factor`), whose eps^0 term is a
-unit in Q(u).  The central-term check works on x-series over eps-series
+unit in Q(u).  That eps bridge keeps a field of its own, :data:`Qu`, the
+reduced rational functions of :mod:`~triggaudin.ratfun`: its
+eps-coefficients, the classical current built from them and the
+recursion they are matched with all live there, apart from the
+classical side's pole-localised ring :data:`triggaudin.gaudin.Qu`.
+The central-term check works on x-series over eps-series
 over Q: the normalizer's denominators q^(2Nk) - 1 = eps * unit divide
 out exactly there.
 
@@ -37,11 +42,11 @@ from math import comb
 from .laurent import LaurentRing
 from .poly import UniPoly
 from .rationals import QQ
-from .ratfun import RatFun
+from .ratfun import FracField, RatFun
 from .series import QSeriesRing, SeriesRing, TruncSeries
 from .tensor import AuxTensor, Space, aux_leg, chain
 from .weyl import QDiffOp
-from .gaudin import Qu, Sites, ThetaContext
+from .gaudin import Sites, ThetaContext
 from .rmatrices import (
     antisymmetrizer,
     diag_shift_d,
@@ -57,6 +62,10 @@ QUV = LaurentRing(("q", "u", "v"))
 
 # The ring of the cleared traced products: Laurent polynomials in q, u.
 QU = LaurentRing(("q", "u"))
+
+# The field of the eps bridge: the eps-coefficients of the classical
+# limit, and the classical current and recursion they are matched with.
+Qu = FracField("u", QQ)
 
 QRep = Sites
 
@@ -321,7 +330,7 @@ def eps_expand(f, order):
     (1 + eps)^a = sum_t C(a, t) eps^t, which also holds for a < 0.  The
     rows are summed on f's integer numerators over its one denominator;
     the coefficients are Laurent polynomials in u, returned as elements
-    of :data:`~triggaudin.gaudin.Qu`.
+    of :data:`Qu`.
     """
     rows = [{} for _ in range(order + 1)]
     for (a, b), c in f.ints.items():

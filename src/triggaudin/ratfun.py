@@ -10,19 +10,17 @@ sum with a denominator 1 is already reduced, since gcd(n1 d2 + n2, d2)
 = gcd(n2, d2) = 1, and a sum over one denominator d is reduced against
 d alone.  Only Q is served (a base other than ``QQ`` raises
 ``ValueError``); the generic tower Q(q)(u), with rational functions as
-coefficients, is kept in the tests as their reference.
+coefficients, is kept in the tests as their reference.  In the package
+only the q-side's eps bridge uses them (:data:`triggaudin.qside.Qu`);
+the classical side works in the gcd-free ring of
+:mod:`~triggaudin.polering`.
 """
 
 from fractions import Fraction
 
+from .polering import PoleError
 from .poly import UniPoly, check_base
 from .rationals import QQ
-
-
-class PoleError(ArithmeticError):
-    """Raised when a rational function is evaluated or expanded at a
-    pole in a context that does not allow Laurent data, or when a
-    denominator factor falls outside a declared pole list."""
 
 
 def _monic(num, den):

@@ -42,11 +42,6 @@ def parse_rational(text):
     return rational(int(text))
 
 
-def format_rational(x):
-    """Render a rational as ``"p/q"`` (always with a denominator)."""
-    return "%d/%d" % (x.numerator, x.denominator)
-
-
 class RationalField:
     """The field Q of exact rationals, as a ring descriptor.
 

@@ -16,7 +16,7 @@ they build.
 
 import itertools
 
-from .ratfun import PoleError
+from .polering import PoleError
 from .series import TruncSeries
 from .tensor import AuxTensor, aux_space, chain, single_leg_matrix, two_leg_tensor
 

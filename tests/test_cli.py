@@ -143,6 +143,15 @@ class TestHamiltonians:
             kind = op["location"][0]
             assert kind in ("pole", "poly")
 
+    def test_n3_m3_document_is_pinned(self, tmp_path):
+        # the family document at N = 3, m <= 3: every operator of the
+        # partial-fraction extraction, rendered over Q
+        out = tmp_path / "fam.json"
+        assert run(["hamiltonians", "--n", "3", "--m-max", "3", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "5401d2c179716d7dafbed7025b3af0ece802bc5cba4ffa12d7d818a461fa5912"
+        )
+
 
 class TestVerify:
     def test_ybe_suite_passes(self, tmp_path):

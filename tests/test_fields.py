@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from triggaudin.poly import UniPoly
-from triggaudin.rationals import QQ, format_rational, parse_rational, rational
+from triggaudin.rationals import QQ, parse_rational, rational
 from triggaudin.ratfun import FracField, PoleError, RatFun
 from triggaudin.series import QSeriesRing, SeriesRing, TruncSeries, TruncationError
 
@@ -20,6 +20,11 @@ EPS_RINGS = (lambda n: SeriesRing("eps", QQ, n), lambda n: QSeriesRing("eps", n)
 
 def rat(p, q=1):
     return rational(p, q)
+
+
+def format_rational(x):
+    """Render a rational as ``"p/q"`` (always with a denominator)."""
+    return "%d/%d" % (x.numerator, x.denominator)
 
 
 def const(c):

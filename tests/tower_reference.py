@@ -4,7 +4,7 @@ The package itself has no Q(q), and its rational functions serve Q
 only: the tower is built from the generic fields of :mod:`field_tower`,
 and tests that check an identity over Q(q), or compare against it, take
 :data:`Qq` from here.  :func:`eps_expand` returns series over the
-package's Q(u), :data:`triggaudin.gaudin.Qu`.
+field of the package's eps bridge, :data:`triggaudin.qside.Qu`.
 
 Here the currents carry their R-matrix denominators, every entry is a
 reduced rational function in the tower Q(q)(u), and the products keep
@@ -18,7 +18,7 @@ from math import comb
 
 from field_tower import FracField, RatFun, UniPoly
 from triggaudin import poly, qside, ratfun
-from triggaudin.gaudin import Qu
+from triggaudin.qside import Qu
 from triggaudin.rationals import QQ
 from triggaudin.rmatrices import (
     adjacent_q_chain,
