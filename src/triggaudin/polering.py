@@ -132,7 +132,9 @@ def _series(b, factors, order):
     out = list(b[: order + 1]) + [0] * (order + 1 - len(b))
     den = 1
     for w, c, e in factors:
-        ser = [comb(e + k - 1, k) * (-c) ** k * w ** (order - k) for k in range(order + 1)]
+        ser = [
+            comb(e + k - 1, k) * (-c) ** k * w ** (order - k) for k in range(order + 1)
+        ]
         den *= w ** (e + order)
         out = [sum(out[j] * ser[k - j] for j in range(k + 1)) for k in range(order + 1)]
     return out, den
