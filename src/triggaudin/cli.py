@@ -14,7 +14,7 @@ import sys
 from . import gaudin
 from .rationals import parse_rational
 from .reports import report_bytes, scalar_str, write_json
-from .suites import SUITE_NAMES, run_suite
+from .suites import Q_M_MAX, SUITE_NAMES, run_suite
 
 
 EXIT_USAGE = 2
@@ -186,8 +186,10 @@ def cmd_verify(cfg):
 
 def cmd_qlimit(cfg):
     """Classical-limit comparison plus the central-term expansion check."""
-    if not 1 <= cfg["m_max"] <= 5:
-        raise UsageError("qlimit supports 1 <= m_max <= 5, got %d" % cfg["m_max"])
+    if not 1 <= cfg["m_max"] <= Q_M_MAX:
+        raise UsageError(
+            "qlimit supports 1 <= m_max <= %d, got %d" % (Q_M_MAX, cfg["m_max"])
+        )
     report = run_suite("qlimit", cfg, cfg["workers"])
     report["note"] = (
         "classical current convention: the first-order coefficient of the "

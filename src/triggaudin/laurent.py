@@ -3,13 +3,27 @@
 An element is a finite sum of rational multiples of monomials
 x_1^e_1 ... x_n^e_n whose exponents may be negative.  It is stored as
 integer numerators over one positive int denominator,
-{exponent tuple: int} / den, with no zero numerator and the content
+{packed exponent: int} / den, with no zero numerator and the content
 gcd of the numerators coprime to den.  That form is canonical, so
 structural equality is mathematical equality.  Products are integer
 convolutions and sums add numerators over a common denominator, each
-followed by one content reduction (skipped when den is 1).
+followed by one content reduction (skipped when den is 1);
+:meth:`Laurent.dot` sums many products with one reduction in all.
 ``Fraction`` appears only where a coefficient is read out: in
 :attr:`Laurent.terms` and in the rendering.
+
+Packed exponents: the exponent tuple (e_1, ..., e_n) is stored as the
+one int sum_i e_i * 2^(32 (n - i)), digits in balanced form with the
+first variable most significant.  Multiplying monomials adds their
+packed ints, inverting negates it, and int order is tuple order, so
+the rendering sorts the ints.  Tuples appear only at the boundary:
+:meth:`LaurentRing.from_terms`, :attr:`Laurent.terms`, the rendering
+and :meth:`LaurentRing.unpack`.  Packed keys alias once a digit reaches
+half the stride, so every element carries ``bound``, an upper bound on
+its largest |exponent|: the sum of the operands' bounds under ``*`` and
+``dot``, their max under ``+``, k times the bound under ``** k``.  An
+operation whose bound would reach half the stride raises
+:class:`OverflowError` before it computes anything.
 
 The ring Q[x_1^+-1, ..., x_n^+-1] is closed under +, - and *, and its
 units are exactly the monomials c * x^e with c != 0.  Division is
@@ -21,14 +35,22 @@ polynomials holds here exactly when it holds in the tower.
 """
 
 from math import gcd, lcm
-from operator import add, neg
 
 from .kernels import sparse_add
 from .rationals import rational
 
+# One digit of a packed exponent: the stride is 2^_SHIFT, and digits
+# lie strictly between -_HALF and _HALF.
+_SHIFT = 32
+_HALF = 1 << (_SHIFT - 1)
+_MASK = (1 << _SHIFT) - 1
+
 
 def _new(ring, ints, den):
-    """The element ints / den for nonzero ints and a positive den."""
+    """The element ints / den for nonzero ints and a positive den.
+
+    Its exponent bound is left unset; the caller sets it.
+    """
     if den != 1:
         g = gcd(den, *ints.values())
         if g != 1:
@@ -37,20 +59,40 @@ def _new(ring, ints, den):
     return Laurent(ring, ints, den)
 
 
-class Laurent:
-    __slots__ = ("ring", "ints", "den")
+def _guard(bound):
+    """``bound`` if packed exponents within it cannot alias."""
+    if bound >= _HALF:
+        raise OverflowError(
+            "Laurent exponent bound %d reaches half the stride 2^%d"
+            % (bound, _SHIFT)
+        )
+    return bound
 
-    def __init__(self, ring, ints, den=1):
-        """The element ints / den; the parts must be in canonical form."""
+
+def _bounded(x, bound):
+    x.bound = bound
+    return x
+
+
+class Laurent:
+    __slots__ = ("ring", "ints", "den", "bound")
+
+    def __init__(self, ring, ints, den=1, bound=None):
+        """The element ints / den; the parts must be in canonical form.
+
+        ``bound`` bounds every |exponent| in ``ints``; the arithmetic
+        sets it for every element it makes.
+        """
         self.ring = ring
         self.ints = ints
         self.den = den
+        self.bound = bound
 
     @property
     def terms(self):
         """{exponent tuple: rational coefficient}, without zeros."""
-        d = self.den
-        return {e: rational(c, d) for e, c in self.ints.items()}
+        d, unpack = self.den, self.ring.unpack
+        return {unpack(e): rational(c, d) for e, c in self.ints.items()}
 
     # -- structure ----------------------------------------------------
 
@@ -96,10 +138,13 @@ class Laurent:
             a = {e: c * fa for e, c in a.items()}
             b = {e: c * fb for e, c in b.items()}
             da *= fa
-        return _new(self.ring, sparse_add(a, b), da)
+        out = _new(self.ring, sparse_add(a, b), da)
+        return _bounded(out, max(self.bound, other.bound))
 
     def __neg__(self):
-        return Laurent(self.ring, {e: -c for e, c in self.ints.items()}, self.den)
+        return Laurent(
+            self.ring, {e: -c for e, c in self.ints.items()}, self.den, self.bound
+        )
 
     def __sub__(self, other):
         return self + (-other)
@@ -107,24 +152,66 @@ class Laurent:
     def __mul__(self, other):
         if type(other) is not Laurent or other.ring is not self.ring:
             self._check(other)
+        bound = _guard(self.bound + other.bound)
         a, b = self.ints, other.ints
         if len(a) < len(b):
             a, b = b, a
         if len(b) == 1:
             # monomial factor: exponents shift, no two terms can collide
             ((eb, cb),) = b.items()
-            out = {tuple(map(add, e, eb)): c * cb for e, c in a.items()}
+            out = {e + eb: c * cb for e, c in a.items()}
         else:
             out = {}
             for ea, ca in a.items():
                 for eb, cb in b.items():
-                    e = tuple(map(add, ea, eb))
+                    e = ea + eb
                     if e in out:
                         out[e] += ca * cb
                     else:
                         out[e] = ca * cb
             out = {e: c for e, c in out.items() if c}
-        return _new(self.ring, out, self.den * other.den)
+        return _bounded(_new(self.ring, out, self.den * other.den), bound)
+
+    @staticmethod
+    def dot(pairs):
+        """sum v * w over the (v, w) pairs, all in one ring, as one element.
+
+        Every pair's convolution goes into one dict over the lcm of the
+        pair denominators, and the sum gets one content reduction, not
+        one per product and one per sum.
+        """
+        if len(pairs) == 1:
+            ((v, w),) = pairs
+            return v * w
+        first = pairs[0][0]
+        ring = first.ring
+        bound = 0
+        dens = []
+        for v, w in pairs:
+            if type(v) is not Laurent or v.ring is not ring:
+                first._check(v)
+            if type(w) is not Laurent or w.ring is not ring:
+                first._check(w)
+            if v.bound + w.bound > bound:
+                bound = v.bound + w.bound
+            dens.append(v.den * w.den)
+        _guard(bound)
+        den = lcm(*dens)
+        out = {}
+        for (v, w), d in zip(pairs, dens):
+            f = den // d
+            b = w.ints
+            for ea, ca in v.ints.items():
+                if f != 1:
+                    ca *= f
+                for eb, cb in b.items():
+                    e = ea + eb
+                    if e in out:
+                        out[e] += ca * cb
+                    else:
+                        out[e] = ca * cb
+        out = {e: c for e, c in out.items() if c}
+        return _bounded(_new(ring, out, den), bound)
 
     def inverse(self):
         """Multiplicative inverse; only monomials are units."""
@@ -138,7 +225,7 @@ class Laurent:
         ((e, c),) = self.ints.items()
         # (c / d) x^e has inverse sign(c) d / |c| x^-e, already reduced
         d = -self.den if c < 0 else self.den
-        return Laurent(self.ring, {tuple(map(neg, e)): d}, abs(c))
+        return Laurent(self.ring, {-e: d}, abs(c), self.bound)
 
     def __truediv__(self, other):
         if type(other) is not Laurent or other.ring is not self.ring:
@@ -150,37 +237,36 @@ class Laurent:
 
         ``factor`` must be a monomial free of x_n, so the substitution
         maps distinct monomials to distinct monomials and no terms
-        merge.  A factor with coefficient 1 only moves exponents.
+        merge.  A factor with coefficient 1 only moves exponents: the
+        packed exponent e goes to e + k ef, with k the last digit of e.
         """
         if type(factor) is not Laurent or factor.ring is not self.ring:
             self._check(factor)
         if len(factor.ints) != 1:
             raise ArithmeticError("scale_var needs a monomial factor: %r" % factor)
         ((ef, p),) = factor.ints.items()
-        if ef[-1]:
+        if _last_digit(ef):
             raise ValueError("scale_var factor must not involve the scaled variable")
-
-        def moved(e):
-            k = e[-1]
-            return tuple([a + k * b for a, b in zip(e, ef)])
-
+        ks = [_last_digit(e) for e in self.ints]
+        bound = _guard(self.bound + max(map(abs, ks), default=0) * factor.bound)
         q = factor.den
-        if not self.ints or p == q == 1:
+        if not ks or p == q == 1:
             return Laurent(
-                self.ring, {moved(e): c for e, c in self.ints.items()}, self.den
+                self.ring,
+                {e + k * ef: c for (e, c), k in zip(self.ints.items(), ks)},
+                self.den,
+                bound,
             )
         # c (p/q)^k = c sign(p)^k |p|^(k-lo) q^(hi-k) / (|p|^-lo q^hi)
         # with lo = min(k, 0) and hi = max(k, 0) over the terms
-        ks = [e[-1] for e in self.ints]
         lo, hi = min(min(ks), 0), max(max(ks), 0)
         s = abs(p)
         out = {}
-        for e, c in self.ints.items():
-            k = e[-1]
+        for (e, c), k in zip(self.ints.items(), ks):
             if p < 0 and k & 1:
                 c = -c
-            out[moved(e)] = c * s ** (k - lo) * q ** (hi - k)
-        return _new(self.ring, out, self.den * s ** -lo * q ** hi)
+            out[e + k * ef] = c * s ** (k - lo) * q ** (hi - k)
+        return _bounded(_new(self.ring, out, self.den * s ** -lo * q ** hi), bound)
 
     def __pow__(self, k):
         if k < 0:
@@ -202,12 +288,17 @@ class Laurent:
         for e in sorted(self.ints):
             mono = "*".join(
                 v if k == 1 else "%s^%d" % (v, k)
-                for v, k in zip(self.ring.names, e)
+                for v, k in zip(self.ring.names, self.ring.unpack(e))
                 if k
             )
             c = rational(self.ints[e], self.den)
             parts.append("(%s)*%s" % (c, mono) if mono else "(%s)" % c)
         return " + ".join(parts)
+
+
+def _last_digit(e):
+    """The exponent of the last variable in the packed exponent e."""
+    return ((e + _HALF) & _MASK) - _HALF
 
 
 class LaurentRing:
@@ -218,26 +309,48 @@ class LaurentRing:
         if len(set(self.names)) != len(self.names) or not self.names:
             raise ValueError("need distinct variable names: %r" % (names,))
         n = len(self.names)
-        self._origin = (0,) * n
-        self.zero = Laurent(self, {})
+        self.zero = Laurent(self, {}, 1, 0)
         self.one = self.from_int(1)
         self.gens = tuple(
-            Laurent(self, {tuple(int(i == j) for j in range(n)): 1})
-            for i in range(n)
+            Laurent(self, {1 << (_SHIFT * (n - 1 - i)): 1}, 1, 1) for i in range(n)
         )
 
+    def pack(self, exponents):
+        """The packed int of an exponent tuple."""
+        if len(exponents) != len(self.names):
+            raise ValueError("need %d exponents: %r" % (len(self.names), exponents))
+        _guard(max(map(abs, exponents)))
+        e = 0
+        for d in exponents:
+            e = (e << _SHIFT) + d
+        return e
+
+    def unpack(self, e):
+        """The exponent tuple of a packed int."""
+        out = []
+        for _ in self.names:
+            d = _last_digit(e)
+            out.append(d)
+            e = (e - d) >> _SHIFT
+        return tuple(reversed(out))
+
     def from_int(self, n):
-        return Laurent(self, {self._origin: n} if n else {})
+        return Laurent(self, {0: n} if n else {}, 1, 0)
 
     def from_terms(self, terms):
         """The element sum c x^e of {exponent tuple: rational c}."""
         terms = {e: c for e, c in terms.items() if c}
         den = lcm(*[c.denominator for c in terms.values()])
-        return _new(
+        bound = max([abs(d) for e in terms for d in e], default=0)
+        out = _new(
             self,
-            {e: c.numerator * (den // c.denominator) for e, c in terms.items()},
+            {
+                self.pack(e): c.numerator * (den // c.denominator)
+                for e, c in terms.items()
+            },
             den,
         )
+        return _bounded(out, bound)
 
     def __eq__(self, other):
         return isinstance(other, LaurentRing) and self.names == other.names

@@ -29,6 +29,10 @@ The central-term check works on x-series over eps-series
 over Q: the normalizer's denominators q^(2Nk) - 1 = eps * unit divide
 out exactly there.
 
+``mcal_collapsed`` reads its terms from a :class:`NewtonChain` kept
+per site set and twist for the process, so the product oracle and the
+classical limit at one site set build each term once.
+
 Convention note: the eps^1 coefficient of L+(u) differs from the
 classical current sum_i r_{0i}(u/a_i) by the central scalar series
 sum_i (a_i+u)/(a_i-u); all limit comparisons use the self-consistent
@@ -236,17 +240,74 @@ def mcal(rep, m, with_D=False):
     return (X - X * m_tb).partial_trace(["tb"])
 
 
+class NewtonChain:
+    """The terms tr(W_1), tr(W_2), ... of :func:`mcal_collapsed` from one chain.
+
+    W_1 = L_1 [D_1] and W_k = tr_(k-1)(P^q_(k-1,k) W_(k-1) L_k [D_k]),
+    with L_k the cleared current at u q^(2-2k), as in :func:`bethe`.
+    P^q_(k-1,k) and L_k act on none of the legs 1..k-2, so tr(W_k) is
+    exactly ``bethe(rep, "newton", k, with_D)``; W_k lives on (b_k,
+    sites) and each step works in (b_(k-1), b_k, sites), of dimension
+    N^(2+l).  The chain keeps its terms and only the last W, and extends
+    them on demand.
+    """
+
+    def __init__(self, rep, with_D):
+        q = QU.gens[0]
+        self.rep = rep
+        self.work = rep.space(["ba", "bb"])
+        self.pq = q_permutation(rep.N, QU, q)
+        self.D = diag_shift_d(rep.N, QU, q) if with_D else None
+        self.terms = []
+        self.W = None
+
+    def current(self, k):
+        """L_k [D_k] on (z0, sites)."""
+        q, u = QU.gens
+        L = qrep_current(self.rep, QU, q, u * q ** (2 - 2 * k))
+        if self.D is not None:
+            L = L * self.D.place(L.space, "z0")
+        return L
+
+    def term(self, k):
+        """tr(W_k), as a tensor on the sites."""
+        sites = self.rep.site_names()
+        while len(self.terms) < k:
+            L = self.current(len(self.terms) + 1)
+            if self.W is None:
+                self.W = L
+            else:
+                factors = [
+                    (self.pq, "ba", "bb"),
+                    (self.W, "ba", *sites),
+                    (L, "bb", *sites),
+                ]
+                self.W = chain(self.work, QU, factors, traced=["ba"])
+            self.terms.append(self.W.partial_trace([self.W.space.legs[0].name]))
+        return self.terms[k - 1]
+
+
+@lru_cache(maxsize=32)
+def newton_chain(N, points, with_D):
+    """The :class:`NewtonChain` kept for the process, per site set and twist."""
+    return NewtonChain(QRep(N, points), with_D)
+
+
 def mcal_collapsed(rep, m, with_D=False):
     """Independent oracle: the binomial collapse of the traced product.
 
     sum_k (-1)^k C(m,k) tr_{1..k} Pq-cycle L1(u)...Lk(uq^{-2k+2}) [D's]
     delta^k, from cleared currents and without the (q-1)^{-m} prefactor,
     so the delta^k coefficient is (q-1)^m prod_{j<k} den(u q^{-2j}) times
-    the true one, exactly as for :func:`mcal`.
+    the true one, exactly as for :func:`mcal`.  Term k does not depend
+    on m: terms 1..m are read from the :class:`NewtonChain` kept per
+    (N, points, with_D), so every product and classical limit at one
+    site set builds each term once.
     """
     q = QU.gens[0]
     shift = q ** -2
     qspace = rep.space()
+    terms = newton_chain(rep.N, rep.points, with_D)
     total = QDiffOp.zero(qspace, QU, shift)
     for k in range(0, m + 1):
         if k == 0:
@@ -254,7 +315,7 @@ def mcal_collapsed(rep, m, with_D=False):
             # trace is N rather than 1
             term = AuxTensor.scalar(qspace, QU, QU.from_int(rep.N))
         else:
-            term = bethe(rep, "newton", k, with_D)
+            term = terms.term(k)
         c = QU.from_int((-1) ** k * comb(m, k))
         total = total + QDiffOp(qspace, QU, {k: term.scale(c)}, shift)
     return total
@@ -333,7 +394,9 @@ def eps_expand(f, order):
     of :data:`Qu`.
     """
     rows = [{} for _ in range(order + 1)]
-    for (a, b), c in f.ints.items():
+    unpack = f.ring.unpack
+    for e, c in f.ints.items():
+        a, b = unpack(e)
         for row, w in zip(rows, _binomials(a, order)):
             if w:
                 s = row.get(b, 0) + c * w

@@ -44,6 +44,10 @@ SUITE_NAMES = (
 
 _SEED = 20260823
 
+# The highest order of the q-side products: the product-oracle and
+# classical-limit tasks, and the ``qlimit`` command's --m-max.
+Q_M_MAX = 6
+
 
 def _points(strings):
     return tuple(parse_rational(s) for s in strings)
@@ -523,7 +527,7 @@ def _tasks_qside(cfg):
                 },
             )
         )
-    for m in range(1, min(cfg["m_max"], 5) + 1):
+    for m in range(1, min(cfg["m_max"], Q_M_MAX) + 1):
         for with_D in (False, True):
             out.append(
                 (
@@ -544,7 +548,7 @@ def _tasks_qside(cfg):
 
 def _tasks_qlimit(cfg):
     out = []
-    for m in range(1, min(cfg["m_max"], 5) + 1):
+    for m in range(1, min(cfg["m_max"], Q_M_MAX) + 1):
         for with_D in (False, True):
             out.append(
                 (

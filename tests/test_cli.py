@@ -181,6 +181,16 @@ class TestVerify:
             "fcdd5de8f6879de3b912d5a31cc88dac21d84f69da09f360beb8a1c3e2a10846"
         )
 
+    def test_n3_m5_report_is_pinned(self, tmp_path):
+        # the q-side products up to m = 5 at N = 3, whose collapse terms
+        # come from the kept Newton chain
+        out = tmp_path / "report.json"
+        argv = ["verify", "--suite", "all", "--n", "3", "--m-max", "5"]
+        assert run(argv + ["--workers", "1", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "a7aaf31e4717e8aa2b41e4a700eea0251fa2e88d541a36c5a28b3c72a852e0ae"
+        )
+
     def test_qlimit_x16_report_is_pinned(self, tmp_path):
         # the central-term and normalizer checks at an x-order (and so an
         # eps-order) beyond the default 8
@@ -309,9 +319,19 @@ class TestQlimit:
 
     def test_m_max_bound(self, tmp_path):
         out = tmp_path / "qlimit.json"
-        for m in ("6", "0", "-1"):
+        for m in ("7", "0", "-1"):
             assert run(["qlimit", "--m-max", m, "--out", str(out)]) == 2
             assert not out.exists()
+
+    def test_q_side_cap_lists_m6(self):
+        # the one q-side cap reaches both suites; m = 6 is listed, not run
+        args = cli.build_parser().parse_args(["verify", "--m-max", "7"])
+        ids = [t[0] for t in suites.build_tasks("all", cli.resolve_config(args))]
+        for prefix in ("qside/product-oracle-m", "qlimit/match-m"):
+            for twist in ("", "-twisted"):
+                assert prefix + "%d%s" % (suites.Q_M_MAX, twist) in ids
+                assert prefix + "%d%s" % (suites.Q_M_MAX + 1, twist) not in ids
+        assert suites.Q_M_MAX == 6
 
     def test_m_max_sets_the_orders(self, tmp_path):
         out = tmp_path / "qlimit.json"
