@@ -269,20 +269,17 @@ class NewtonChain:
             L = L * self.D.place(L.space, "z0")
         return L
 
+    def step(self, W, L):
+        """W_k from W_(k-1) and L_k [D_k]: b_(k-1) is summed after W_(k-1)."""
+        sites = self.rep.site_names()
+        factors = [(self.pq, "ba", "bb"), (W, "ba", *sites), (L, "bb", *sites)]
+        return chain(self.work, QU, factors, traced=["ba"])
+
     def term(self, k):
         """tr(W_k), as a tensor on the sites."""
-        sites = self.rep.site_names()
         while len(self.terms) < k:
             L = self.current(len(self.terms) + 1)
-            if self.W is None:
-                self.W = L
-            else:
-                factors = [
-                    (self.pq, "ba", "bb"),
-                    (self.W, "ba", *sites),
-                    (L, "bb", *sites),
-                ]
-                self.W = chain(self.work, QU, factors, traced=["ba"])
+            self.W = L if self.W is None else self.step(self.W, L)
             self.terms.append(self.W.partial_trace([self.W.space.legs[0].name]))
         return self.terms[k - 1]
 

@@ -40,9 +40,8 @@ small = st.integers(min_value=-3, max_value=3)
 
 def pair(data, ring, exps=big, max_size=4):
     """A drawn element of ``ring`` and the reference element it denotes."""
-    terms = data.draw(
-        st.dictionaries(st.tuples(*[exps] * len(ring.names)), rationals, max_size=max_size)
-    )
+    keys = st.tuples(*[exps] * len(ring.names))
+    terms = data.draw(st.dictionaries(keys, rationals, max_size=max_size))
     return ring.from_terms(terms), ref.Laurent(REF_RINGS[ring], terms)
 
 
@@ -267,20 +266,13 @@ class TestNewtonChainNegativeControl:
 
     def test_leg_traced_before_the_q_permutation_fails(self):
         class Early(qside.NewtonChain):
-            def term(self, k):
+            def step(self, W, L):
                 # tr_(k-1) W_(k-1) in place of W_(k-1): leg b_(k-1) summed
                 # before P^q_(k-1,k) couples it to b_k
+                T = W.partial_trace([W.space.legs[0].name])
                 sites = self.rep.site_names()
-                while len(self.terms) < k:
-                    L = self.current(len(self.terms) + 1)
-                    if self.W is None:
-                        self.W = L
-                    else:
-                        T = self.W.partial_trace([self.W.space.legs[0].name])
-                        factors = [(self.pq, "ba", "bb"), (T, *sites), (L, "bb", *sites)]
-                        self.W = chain(self.work, QU, factors, traced=["ba"])
-                    self.terms.append(self.W.partial_trace([self.W.space.legs[0].name]))
-                return self.terms[k - 1]
+                factors = [(self.pq, "ba", "bb"), (T, *sites), (L, "bb", *sites)]
+                return chain(self.work, QU, factors, traced=["ba"])
 
         for with_D in (False, True):
             early = Early(self.rep, with_D)
