@@ -498,6 +498,11 @@ class PoleRing:
     def from_int(self, n):
         return _raw(self, (n,) if n else (), 1, ())
 
+    def from_ints(self, ints, den=1):
+        """The polynomial (ints[0] + ints[1] u + ...) / den, for int
+        numerators and a positive int den."""
+        return _new(self, ints, den, ())
+
     def embed(self, c):
         """Lift a rational to a constant element."""
         c = Fraction(c)

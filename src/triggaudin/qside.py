@@ -20,18 +20,23 @@ exactly when it holds there, and the cleared scalar factor is the same
 nonzero element on both sides of every comparison.  The classical limit
 puts q = 1 + eps into the Laurent entries and divides by the eps-series
 of the cleared factor (:func:`cleared_factor`), whose eps^0 term is a
-unit in Q(u).  That eps bridge keeps a field of its own, :data:`Qu`, the
-reduced rational functions of :mod:`~triggaudin.ratfun`: its
-eps-coefficients, the classical current built from them and the
-recursion they are matched with all live there, apart from the
-classical side's pole-localised ring :data:`triggaudin.gaudin.Qu`.
-The central-term check works on x-series over eps-series
+unit in Q(u).  The eps-series of that bridge keep a field of their own,
+:data:`Qu`, the reduced rational functions of
+:mod:`~triggaudin.ratfun`, and only the eps^m coefficient of each entry
+is built there.  The classical current (the eps^1 coefficient of the
+q-current) and the recursion it is matched with run on the classical
+side's pole-localised ring :data:`triggaudin.gaudin.Qu`, where no gcd
+is taken; the eps^m coefficients are read into that ring for the
+comparison.  The central-term check works on x-series over eps-series
 over Q: the normalizer's denominators q^(2Nk) - 1 = eps * unit divide
 out exactly there.
 
-``mcal_collapsed`` reads its terms from a :class:`NewtonChain` kept
-per site set and twist for the process, so the product oracle and the
-classical limit at one site set build each term once.
+Nothing is built twice for one site set: the cleared currents and the
+traced fused elements are kept in bounded caches, ``mcal_collapsed``
+reads its terms from a :class:`NewtonChain` kept per site set and
+twist, and the classical recursion's context is kept per site set, so
+the product oracle and the classical limit at one site set build each
+term once.
 
 Convention note: the eps^1 coefficient of L+(u) differs from the
 classical current sum_i r_{0i}(u/a_i) by the central scalar series
@@ -50,6 +55,7 @@ from .ratfun import FracField, RatFun
 from .series import QSeriesRing, SeriesRing, TruncSeries
 from .tensor import AuxTensor, Space, aux_leg, chain
 from .weyl import QDiffOp
+from . import gaudin
 from .gaudin import Sites, ThetaContext
 from .rmatrices import (
     antisymmetrizer,
@@ -94,14 +100,20 @@ def qrep_current(rep, ring=QU, q=None, u=None):
     (q - x/q), so every entry is a Laurent polynomial.  ``q`` and ``u``
     default to the ring's first two generators; passing ``u`` supports
     shifted arguments like u q^{-2a+2} and the second variable of
-    bivariate checks.
+    bivariate checks.  The current is kept per (N, points, ring, q, u)
+    in a bounded cache, so the exchange relation, the fused elements and
+    the products at one site set build each current once.
     """
-    q, u = _gens(ring, q, u)
+    return _qrep_current(rep.N, rep.points, ring, *_gens(ring, q, u))
+
+
+@lru_cache(maxsize=64)
+def _qrep_current(N, points, ring, q, u):
     factors = [
-        (r_quantum_scaled(rep.N, ring, q, u / embed_rational(ring, a)), "z0", "s%d" % i)
-        for i, a in enumerate(rep.points, start=1)
+        (r_quantum_scaled(N, ring, q, u / embed_rational(ring, a)), "z0", "s%d" % i)
+        for i, a in enumerate(points, start=1)
     ]
-    return chain(rep.current_space(), ring, factors)
+    return chain(QRep(N, points).current_space(), ring, factors)
 
 
 def exchange_difference(rep, R):
@@ -149,7 +161,10 @@ def bethe(rep, kind, k, with_D=False, ring=QU, q=None, u=None):
     right after its last factor: the projector, then L_a on (b_a, sites)
     for a = 1, ..., k, each followed by D_a when twisted.  D_a acts on b_a
     alone, so it commutes with every later L and moving it next to L_a is
-    exact; leg b_a is summed as soon as L_a (and D_a) are applied.
+    exact; leg b_a is summed as soon as L_a (and D_a) are applied.  The
+    element is kept per (N, points, kind, k, with_D, ring, q, u) in a
+    bounded cache, so the commuting pairs of one family build each
+    element once.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -157,15 +172,20 @@ def bethe(rep, kind, k, with_D=False, ring=QU, q=None, u=None):
         raise ValueError("unknown kind %r" % kind)
     if kind == "antisym" and k > rep.N:
         raise ValueError("antisymmetrizer is computed only for k <= N")
-    q, u = _gens(ring, q, u)
+    return _bethe(rep.N, rep.points, kind, k, with_D, ring, *_gens(ring, q, u))
+
+
+@lru_cache(maxsize=32)
+def _bethe(N, points, kind, k, with_D, ring, q, u):
+    rep = QRep(N, points)
     bnames = ["b%d" % a for a in range(1, k + 1)]
     sites = rep.site_names()
     if kind == "antisym":
-        factors = [(antisymmetrizer(k, rep.N, ring, q), *bnames)]
+        factors = [(antisymmetrizer(k, N, ring, q), *bnames)]
     else:
-        pq = q_permutation(rep.N, ring, q)
+        pq = q_permutation(N, ring, q)
         factors = [(pq, bnames[a - 1], bnames[a]) for a in range(k - 1, 0, -1)]
-    D = diag_shift_d(rep.N, ring, q) if with_D else None
+    D = diag_shift_d(N, ring, q) if with_D else None
     for a, nm in enumerate(bnames, start=1):
         factors.append((qrep_current(rep, ring, q, u * q ** (2 - 2 * a)), nm, *sites))
         if with_D:
@@ -425,60 +445,125 @@ def delta_power_in_derivatives(k, order):
     return out
 
 
-def _uncleared(rep, k, order):
-    """The inverse eps-series of :func:`cleared_factor`: multiplying the
-    eps-series of a cleared delta^k entry by it gives the true one."""
-    return eps_expand(cleared_factor(rep, k), order).invert()
+@lru_cache(maxsize=64)
+def _uncleared(N, points, k, order):
+    """The inverse eps-series of :func:`cleared_factor`, kept per site
+    set: multiplying the eps-series of a cleared delta^k entry by it
+    gives the true one."""
+    return eps_expand(cleared_factor(QRep(N, points), k), order).invert()
+
+
+def _to_pole(f):
+    """An element of :data:`Qu` as the equal element of the classical
+    side's pole ring; its denominator must split into rational linear
+    factors (here u and the sites), the units of that ring."""
+    ring = gaudin.Qu
+    num = ring.from_ints(f.num.ints, f.num.den)
+    return num / ring.from_ints(f.den.ints, f.den.den)
 
 
 def classical_limit_current(rep):
-    """The eps^1 coefficient of L+(u), on one auxiliary plus site legs."""
-    inv = _uncleared(rep, 1, 1)
+    """The eps^1 coefficient of L+(u), on one auxiliary plus site legs,
+    over the pole ring :data:`triggaudin.gaudin.Qu`."""
+    inv = _uncleared(rep.N, rep.points, 1, 1)
     return qrep_current(rep).map_entries(
-        lambda f: (eps_expand(f, 1) * inv).coefficient(1), ring=Qu
+        lambda f: _to_pole((eps_expand(f, 1) * inv).coefficient(1)),
+        ring=gaudin.Qu,
     )
+
+
+@lru_cache(maxsize=32)
+def classical_context(N, points):
+    """The :class:`~triggaudin.gaudin.ThetaContext` of
+    :func:`classical_limit_current`, kept per site set for the process:
+    its chain per twist serves every order m."""
+    return ThetaContext(classical_limit_current(QRep(N, points)))
+
+
+def classical_limit_lhs(rep, m, with_D=False):
+    """{i: eps^m coefficient of the d_u^i coefficient} of the
+    (q-1)^m-rescaled traced product, over :data:`triggaudin.gaudin.Qu`.
+
+    The delta^k coefficient of :func:`mcal_collapsed` has cleared entries
+    f, polynomials in u over Q[q^+-1], so the eps-coefficients f_t of f
+    are polynomials in u.  With c_{k,i} the eps-series of d_u^i in
+    delta^k (:func:`delta_power_in_derivatives`) and w_{k,i} = c_{k,i}
+    times the inverse eps-series of :func:`cleared_factor`, the eps^m
+    coefficient of the d_u^i term is sum_t f_t w_{k,i,m-t}.  So only that
+    coefficient is built: each scalar series w_{k,i} is formed once in
+    :data:`Qu`, all w_{k,i,s} of one i are put over one denominator D_i
+    as W_{k,i,s} / D_i, and an entry's coefficient is
+    sum_{k,t} f_t W_{k,i,m-t} / D_i: polynomial products and one
+    reduction in :data:`Qu` per entry, read into the pole ring.
+    """
+    T = mcal_collapsed(rep, m, with_D)
+    weights, dens = {}, {}
+    for k in T.coeffs:
+        inv = _uncleared(rep.N, rep.points, k, m)
+        weights[k] = {}
+        for i, c in delta_power_in_derivatives(k, m).items():
+            w = inv * c
+            weights[k][i] = [(m - s, w.coefficient(s)) for s in range(m + 1)]
+            for _, x in weights[k][i]:
+                if x:
+                    d = dens.get(i, x.den)
+                    dens[i] = d * (x.den // d.gcd(x.den))
+    sums = {}
+    for k, tensor in T.coeffs.items():
+        ws = []  # (the sums of order i, [(t, W_{k,i,m-t})]) for every i
+        for i, w in weights[k].items():
+            W = [(t, x.num * (dens[i] // x.den)) for t, x in w if x]
+            if W:
+                ws.append((sums.setdefault(i, {}), W))
+        for key, f in tensor.entries.items():
+            e = eps_expand(f, m).coeffs
+            for acc, W in ws:
+                for t, Wt in W:
+                    if t < len(e) and e[t]:
+                        term = e[t].num * Wt
+                        acc[key] = acc[key] + term if key in acc else term
+    qspace = rep.space()
+    out = {}
+    for i, acc in sums.items():
+        entries = {
+            key: _to_pole(RatFun("u", QQ, n, dens[i])) for key, n in acc.items() if n
+        }
+        if entries:
+            out[i] = AuxTensor(qspace, gaudin.Qu, entries)
+    return out
+
+
+def classical_limit_rhs(rep, m, with_D=False):
+    """theta_m of the classical recursion built from the eps^1-coefficient
+    current, with the diagonal rho shift exactly when D was inserted; it
+    extends the chain kept by :func:`classical_context`."""
+    return classical_context(rep.N, rep.points).theta_mbar(m, shifted=with_D)
 
 
 def classical_limit_compare(rep, m, with_D=False):
     """Match the eps^m coefficient of the q-side product with the
     classical recursion.
 
-    LHS: expand every delta-coefficient of the (q-1)^m-rescaled traced
-    product in eps, convert delta powers to u-derivatives, keep the
-    eps^m coefficient.  The cleared delta^k entries are expanded from
-    the Laurent ring and multiplied by the inverse eps-series of
-    :func:`cleared_factor`.  The product is built in the binomial
-    collapse form; its equality with the literal recursion is checked
-    independently by the oracle comparison in the q-side suite.
-    RHS: the traced recursion built from the eps^1-coefficient current,
-    with the diagonal rho shift exactly when D was inserted.
+    LHS (:func:`classical_limit_lhs`): expand every delta-coefficient of
+    the (q-1)^m-rescaled traced product in eps, convert delta powers to
+    u-derivatives, keep the eps^m coefficient.  The cleared delta^k
+    entries are expanded from the Laurent ring and weighted by the
+    inverse eps-series of :func:`cleared_factor`.  The product is built
+    in the binomial collapse form; its equality with the literal
+    recursion is checked independently by the oracle comparison in the
+    q-side suite.  RHS (:func:`classical_limit_rhs`): the traced
+    recursion built from the eps^1-coefficient current.  Both sides are
+    compared in the pole ring :data:`triggaudin.gaudin.Qu`, whose
+    elements render as the reduced rational functions.
     """
-    T = mcal_collapsed(rep, m, with_D)
-    sring = SeriesRing("eps", Qu, m)
-    lhs = {}
-    qspace = rep.space()
-    for k in sorted(T.coeffs):
-        inv = _uncleared(rep, k, m)
-        tensor = T.coeffs[k].map_entries(
-            lambda f: eps_expand(f, m) * inv, ring=sring
-        )
-        for i, coeff in delta_power_in_derivatives(k, m).items():
-            contrib = tensor.map_entries(lambda s: s * coeff)
-            lhs[i] = lhs[i] + contrib if i in lhs else contrib
-    lhs_m = {
-        i: t.map_entries(lambda s: s.coefficient(m), ring=Qu)
-        for i, t in lhs.items()
-    }
-    lhs_m = {i: t for i, t in lhs_m.items() if not t.is_zero()}
-
-    rhs = ThetaContext(classical_limit_current(rep)).theta_mbar(m, shifted=with_D)
-    keys = sorted(set(lhs_m) | set(rhs.coeffs))
+    lhs = classical_limit_lhs(rep, m, with_D)
+    rhs = classical_limit_rhs(rep, m, with_D)
+    zero = AuxTensor.zero(rep.space(), gaudin.Qu)
     mismatches = []
-    for i in keys:
-        a = lhs_m.get(i, AuxTensor.zero(qspace, Qu))
-        b = rhs.coefficient(i)
-        if not (a - b).is_zero():
-            mismatches.append((i, (a - b).sorted_entries()))
+    for i in sorted(set(lhs) | set(rhs.coeffs)):
+        diff = lhs.get(i, zero) - rhs.coefficient(i)
+        if not diff.is_zero():
+            mismatches.append((i, diff.sorted_entries()))
     return {"pass": not mismatches, "mismatches": mismatches}
 
 

@@ -13,8 +13,6 @@ import json
 import random
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 
 from . import gaudin, pbw, qside
 from .rationals import QQ, parse_rational
@@ -676,6 +674,9 @@ def _dispatch(task):
 def _run_alone(task):
     """Run one task in a fresh one-worker pool; a worker that dies while
     running it makes it an "error" record, with no CPU time."""
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     with ProcessPoolExecutor(max_workers=1) as ex:
         try:
             return ex.submit(_dispatch, task).result()
@@ -696,6 +697,10 @@ def run_timed(tasks, workers=1):
     """
     if workers <= 1:
         return [_dispatch(t) for t in tasks]
+    # imported here: a one-worker run does not load multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     results = []
     with ProcessPoolExecutor(max_workers=workers) as ex:
         for fut in [ex.submit(_dispatch, t) for t in tasks]:

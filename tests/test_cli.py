@@ -289,14 +289,18 @@ class TestFailureIsolation:
         assert not out.exists()
 
 
+def _src_env():
+    """The environment with the package's source tree on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 class TestModuleEntryPoint:
     def test_python_m_runs_a_suite(self, tmp_path):
         out = tmp_path / "report.json"
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
+        env = _src_env()
         proc = subprocess.run(
             [sys.executable, "-m", "triggaudin", "verify", "--suite", "ybe",
              "--out", str(out)],
@@ -306,6 +310,24 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert load(out)["pass"] is True
+
+    def test_start_up_loads_no_process_pool(self):
+        # the pool's modules are imported only when a run asks for two
+        # or more workers
+        code = (
+            "import sys, triggaudin.cli; "
+            "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
+            "if m in sys.modules))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=_src_env(),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["[]"]
 
 
 class TestQlimit:

@@ -1,15 +1,20 @@
 """q-side layer: exchange relation, fused elements, classical limits."""
 
+import hashlib
+
 import pytest
 
+from triggaudin.gaudin import ThetaContext
 from triggaudin.rationals import QQ, rational
 from triggaudin.ratfun import FracField
+from triggaudin.reports import report_bytes
 from triggaudin.rmatrices import r_quantum_scaled
 from triggaudin.series import SeriesRing, TruncSeries, TruncationError
 from triggaudin import qside, suites
 
 import full_space_q_routes
 import tower_reference
+from test_polering import to_ratfun
 from tower_reference import Q, U, Qqu, to_tower
 
 
@@ -286,6 +291,182 @@ class TestClassicalLimit:
         (rec,) = suites.run_tasks([("qlimit", "claim", "task_qlimit", args)])
         assert rec["status"] == "fail"
         assert rec["witness"] and all(w["diff"] for w in rec["witness"])
+
+
+def reference_lhs(rep, m, with_D=False):
+    """The eps^m coefficients of the traced product from full eps-series
+    over :data:`qside.Qu`: every entry times the inverse series of the
+    cleared factor, then one series product per derivative order."""
+    T = qside.mcal_collapsed(rep, m, with_D)
+    sring = SeriesRing("eps", qside.Qu, m)
+    lhs = {}
+    for k in sorted(T.coeffs):
+        inv = qside.eps_expand(qside.cleared_factor(rep, k), m).invert()
+        tensor = T.coeffs[k].map_entries(
+            lambda f: qside.eps_expand(f, m) * inv, ring=sring
+        )
+        for i, coeff in qside.delta_power_in_derivatives(k, m).items():
+            contrib = tensor.map_entries(lambda s: s * coeff)
+            lhs[i] = lhs[i] + contrib if i in lhs else contrib
+    out = {
+        i: t.map_entries(lambda s: s.coefficient(m), ring=qside.Qu)
+        for i, t in lhs.items()
+    }
+    return {i: t for i, t in out.items() if not t.is_zero()}
+
+
+def reference_current(rep):
+    """The eps^1 coefficient of L+(u) over :data:`qside.Qu`."""
+    inv = qside.eps_expand(qside.cleared_factor(rep, 1), 1).invert()
+    return qside.qrep_current(rep).map_entries(
+        lambda f: (qside.eps_expand(f, 1) * inv).coefficient(1), ring=qside.Qu
+    )
+
+
+def same_tensor(t, ref):
+    """A pole-ring tensor equals a tensor over qside.Qu, entry by entry
+    and in rendering."""
+    assert sorted(t.entries) == sorted(ref.entries)
+    for key, v in t.entries.items():
+        assert to_ratfun(v) == ref.entries[key]
+        assert repr(v) == repr(ref.entries[key])
+
+
+# (N, points, m_max): two sites at two point sets, and three sites
+LIMIT_CASES = [
+    (2, ("1", "3"), 4),
+    (3, ("1", "3"), 3),
+    (2, ("1/2", "-3"), 4),
+    (3, ("1/2", "-3"), 3),
+    (2, ("1", "3", "-2"), 4),
+]
+
+
+def rep_of(N, points):
+    return qside.QRep(N, [rational(p) for p in points])
+
+
+class TestClassicalLimitAgainstReference:
+    """Both sides of the classical limit against the eps-series over
+    :data:`qside.Qu` and the recursion over that field."""
+
+    @pytest.mark.parametrize("N, points, m_max", LIMIT_CASES)
+    def test_current(self, N, points, m_max):
+        rep = rep_of(N, points)
+        same_tensor(qside.classical_limit_current(rep), reference_current(rep))
+
+    @pytest.mark.parametrize("with_D", [False, True])
+    @pytest.mark.parametrize("N, points, m_max", LIMIT_CASES)
+    def test_lhs_and_rhs(self, N, points, m_max, with_D):
+        rep = rep_of(N, points)
+        ref = ThetaContext(reference_current(rep))
+        for m in range(1, m_max + 1):
+            lhs = qside.classical_limit_lhs(rep, m, with_D)
+            want = reference_lhs(rep, m, with_D)
+            assert sorted(lhs) == sorted(want)
+            for i, t in lhs.items():
+                same_tensor(t, want[i])
+            rhs = qside.classical_limit_rhs(rep, m, with_D)
+            want = ref.theta_mbar(m, with_D)
+            assert sorted(rhs.coeffs) == sorted(want.coeffs)
+            for i, t in rhs.coeffs.items():
+                same_tensor(t, want.coeffs[i])
+
+
+class TestClassicalLimitNegativeControl:
+    rep = rep_of(2, ("1", "3"))
+
+    def test_rhs_of_the_other_twist_fails(self, monkeypatch):
+        # m = 2: at m = 1 the twist does not show at eps^1
+        rhs = qside.classical_limit_rhs
+        def other_twist(rep, m, with_D=False):
+            return rhs(rep, m, not with_D)
+
+        monkeypatch.setattr(qside, "classical_limit_rhs", other_twist)
+        for with_D in (False, True):
+            result = qside.classical_limit_compare(self.rep, 2, with_D)
+            assert not result["pass"] and result["mismatches"]
+
+    def test_rhs_at_moved_points_fails(self, monkeypatch):
+        context = qside.classical_context
+        monkeypatch.setattr(
+            qside, "classical_context", lambda N, points: context(N, (points[0], 4))
+        )
+        for m in (1, 2):
+            result = qside.classical_limit_compare(self.rep, m, True)
+            assert not result["pass"] and result["mismatches"]
+
+    def test_failing_record_keeps_its_bytes(self, monkeypatch):
+        # the product at moved points against the classical side at the
+        # given ones: a witness at three derivative orders, with fractions
+        # in the points, rendered as the reduced rational functions
+        collapsed = qside.mcal_collapsed
+
+        def moved(rep, m, with_D=False):
+            points = (rep.points[0], rep.points[1] + 1)
+            return collapsed(qside.QRep(rep.N, points), m, with_D)
+
+        monkeypatch.setattr(qside, "mcal_collapsed", moved)
+        args = {"N": 2, "points": ["1/2", "-3"], "m": 2, "with_D": True}
+        (rec,) = suites.run_tasks([("qlimit/match", "claim", "task_qlimit", args)])
+        assert [w["degree"] for w in rec["witness"]] == [0, 1, 2]
+        assert hashlib.sha256(report_bytes(rec)).hexdigest() == (
+            "797d628d25104822485f2434c67295da3e0cb6a55e0ba60eeba29af58bb00a89"
+        )
+
+
+class TestKeptObjects:
+    """Every kept object is keyed by all that it depends on."""
+
+    rep = rep_of(2, ("1", "3"))
+    other = rep_of(2, ("1", "4"))
+
+    def test_currents(self):
+        q, u, v = qside.QUV.gens
+        kept = qside.qrep_current(self.rep, qside.QUV, q, u)
+        assert qside.qrep_current(rep_of(2, ("1", "3")), qside.QUV, q, u) is kept
+        others = [
+            qside.qrep_current(self.other, qside.QUV, q, u),
+            qside.qrep_current(self.rep, qside.QUV, q, v),
+            qside.qrep_current(self.rep),
+        ]
+        assert all(o is not kept for o in others)
+        assert others[0] != kept and others[1] != kept
+
+    def test_fused_elements(self):
+        v = qside.QUV.gens[2]
+        spec = ("newton", 2, False)
+        kept = qside.bethe(self.rep, *spec, ring=qside.QUV)
+        assert qside.bethe(self.rep, *spec, ring=qside.QUV) is kept
+        others = [
+            qside.bethe(self.other, *spec, ring=qside.QUV),
+            qside.bethe(self.rep, "newton", 2, True, ring=qside.QUV),
+            qside.bethe(self.rep, *spec, ring=qside.QUV, u=v),
+        ]
+        assert all(o is not kept and o != kept for o in others)
+
+    @pytest.mark.parametrize("with_D", [False, True])
+    def test_kept_fused_element_equals_a_fresh_build(self, with_D):
+        q, u = qside.QU.gens
+        for kind in ("antisym", "newton"):
+            kept = qside.bethe(self.rep, kind, 2, with_D)
+            args = (2, self.rep.points, kind, 2, with_D, qside.QU, q, u)
+            fresh = qside._bethe.__wrapped__(*args)
+            assert fresh is not kept and fresh == kept
+
+    def test_classical_context(self):
+        kept = qside.classical_context(2, self.rep.points)
+        assert qside.classical_context(2, rep_of(2, ("1", "3")).points) is kept
+        other = qside.classical_context(2, self.other.points)
+        assert other is not kept
+        assert other.theta_mbar(2) != kept.theta_mbar(2)
+        assert kept.theta_mbar(2, True) != kept.theta_mbar(2)
+
+    def test_uncleared_series(self):
+        kept = qside._uncleared(2, self.rep.points, 2, 3)
+        assert qside._uncleared(2, self.rep.points, 2, 3) is kept
+        assert kept != qside._uncleared(2, self.other.points, 2, 3)
+        assert kept != qside._uncleared(2, self.rep.points, 1, 3)
 
 
 class TestNormalizedRMatrix:
