@@ -190,7 +190,7 @@ def cmd_qlimit(cfg):
         raise UsageError(
             "qlimit supports 1 <= m_max <= %d, got %d" % (Q_M_MAX, cfg["m_max"])
         )
-    report = run_suite("qlimit", cfg, cfg["workers"])
+    report = run_suite("qlimit", cfg, cfg["workers"], cfg["timings"])
     report["note"] = (
         "classical current convention: the first-order coefficient of the "
         "q-deformed current is taken as the classical current; it differs "

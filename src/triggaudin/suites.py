@@ -6,6 +6,11 @@ worker processes while the assembled report stays byte-identical for
 any worker count.  Every task returns (ok, witness) with a
 JSON-serializable witness describing the failure; a task that raises
 is recorded with status "error" instead of stopping the suite.
+
+The suites come from one table, ``_SUITES``, of generators of (id,
+task name, kwargs); ``_CLAIMS`` holds each task's claim, and
+:func:`build_tasks` joins the two.  A suite's orders stop at --m-max
+(or --u-order) and at a named cap such as ``THETA_M_MAX``.
 """
 
 import itertools
@@ -27,24 +32,16 @@ from .rmatrices import (
 )
 from .tensor import Space, aux_leg, aux_space
 
-SUITE_NAMES = (
-    "ybe",
-    "trace-lemmas",
-    "theta-routes",
-    "commutativity",
-    "quadham",
-    "qside",
-    "qlimit",
-    "pbw-commut",
-    "pbw-invariance",
-    "all",
-)
-
 _SEED = 20260823
 
-# The highest order of the q-side products: the product-oracle and
-# classical-limit tasks, and the ``qlimit`` command's --m-max.
-Q_M_MAX = 6
+# Order caps: each check runs up to --m-max (or --u-order), at most its cap.
+Q_M_MAX = 6  # q-side products, and so the ``qlimit`` command's --m-max
+THETA_M_MAX = 4  # the two theta routes
+EXPLICIT_M_MAX = 3  # the closed-form low-order operators
+CLOSING_M_MAX = 2  # the family the closing series is checked against
+PBW_M_MAX = 3  # mode-algebra commutators and the evaluation map
+PBW_U_ORDER = 3  # their u-order
+VACUUM_M_MAX = 2  # vacuum invariance
 
 
 def _points(strings):
@@ -358,298 +355,170 @@ def task_pbw_eval(points, m, u_order):
 # -- suite assembly ----------------------------------------------------
 
 
-def _tasks_ybe(cfg):
-    out = []
+def _orders(cfg, cap):
+    """m = 1, 2, ... up to --m-max, at most ``cap``."""
+    return range(1, min(cfg["m_max"], cap) + 1)
+
+
+def _variants(word):
+    """(flag, id suffix) of the plain variant, then of the ``word`` one."""
+    return (False, ""), (True, "-" + word)
+
+
+def _site_args(cfg, **more):
+    """A task's kwargs on the configured sites: N, points, then ``more``."""
+    return {"N": cfg["N"], "points": cfg["points"], **more}
+
+
+def _ybe(cfg):
     for N in range(2, min(cfg["N"], 4) + 1):
-        out.append(
-            (
-                "ybe/classical-N%d" % N,
-                "three-leg commutator identity for the trigonometric r-matrix",
-                "task_classical_ybe",
-                {"N": N, "count": 5},
-            )
-        )
-        out.append(
-            (
-                "ybe/skew-N%d" % N,
-                "leg swap with inverted argument negates the r-matrix",
-                "task_skew_symmetry",
-                {"N": N, "count": 5},
-            )
-        )
+        yield "ybe/classical-N%d" % N, "task_classical_ybe", {"N": N, "count": 5}
+        yield "ybe/skew-N%d" % N, "task_skew_symmetry", {"N": N, "count": 5}
     for N in range(2, min(cfg["N"], 3) + 1):
-        out.append(
-            (
-                "ybe/quantum-N%d" % N,
-                "braid-exchange identity for the quantum R-matrix over Q(q)",
-                "task_quantum_ybe",
-                {"N": N, "count": 5},
-            )
-        )
-    return out
+        yield "ybe/quantum-N%d" % N, "task_quantum_ybe", {"N": N, "count": 5}
 
 
-def _tasks_trace_lemmas(cfg):
-    out = []
+def _trace_lemmas(cfg):
     for N in range(2, 5):
         for k in range(3, 7):
-            out.append(
-                (
-                    "trace/cycle-N%d-k%d" % (N, k),
-                    "middle-leg trace of the skew-cycle chain collapses to two legs",
-                    "task_trace_cycle",
-                    {"N": N, "k": k},
-                )
-            )
-        out.append(
-            (
-                "trace/one-leg-N%d" % N,
-                "single-leg traces of the skew tensors vanish",
-                "task_trace_one_leg",
-                {"N": N},
-            )
-        )
-        out.append(
-            (
-                "trace/mixed-N%d" % N,
-                "tracing the shared leg of a skew tensor against a flip relabels it",
-                "task_trace_mixed",
-                {"N": N},
-            )
-        )
+            yield "trace/cycle-N%d-k%d" % (N, k), "task_trace_cycle", {"N": N, "k": k}
+        yield "trace/one-leg-N%d" % N, "task_trace_one_leg", {"N": N}
+        yield "trace/mixed-N%d" % N, "task_trace_mixed", {"N": N}
     for N in (2, 3):
         for m in range(2, 6):
-            out.append(
-                (
-                    "trace/chain-collapse-N%d-m%d" % (N, m),
-                    "partial trace of mixed permutation chains, all leg subsets",
-                    "task_trpi",
-                    {"N": N, "m": m},
-                )
-            )
-    return out
+            yield "trace/chain-collapse-N%d-m%d" % (N, m), "task_trpi", {"N": N, "m": m}
 
 
-def _tasks_theta_routes(cfg):
-    out = []
-    for m in range(1, min(cfg["m_max"], 4) + 1):
-        for shifted in (False, True):
-            out.append(
-                (
-                    "theta/routes-m%d%s" % (m, "-shifted" if shifted else ""),
-                    "generating-function and recursion routes agree",
-                    "task_theta_routes",
-                    {
-                        "N": cfg["N"],
-                        "points": cfg["points"],
-                        "m": m,
-                        "shifted": shifted,
-                    },
-                )
-            )
-    for m in range(1, min(cfg["m_max"], 3) + 1):
-        out.append(
-            (
-                "theta/explicit-m%d" % m,
-                "closed-form low-order operator matches the generating route",
-                "task_theta_explicit",
-                {"N": cfg["N"], "points": cfg["points"], "m": m},
-            )
-        )
-    return out
+def _theta_routes(cfg):
+    for m in _orders(cfg, THETA_M_MAX):
+        for shifted, tag in _variants("shifted"):
+            args = _site_args(cfg, m=m, shifted=shifted)
+            yield "theta/routes-m%d%s" % (m, tag), "task_theta_routes", args
+    for m in _orders(cfg, EXPLICIT_M_MAX):
+        yield "theta/explicit-m%d" % m, "task_theta_explicit", _site_args(cfg, m=m)
 
 
-def _tasks_commutativity(cfg):
-    out = []
-    for shifted in (False, True):
-        out.append(
-            (
-                "commut/family%s" % ("-shifted" if shifted else ""),
-                "all extracted operator coefficients pairwise commute",
-                "task_commutativity",
-                {
-                    "N": cfg["N"],
-                    "points": cfg["points"],
-                    "m_max": cfg["m_max"],
-                    "shifted": shifted,
-                },
-            )
-        )
-    out.append(
-        (
-            "commut/closing-series",
-            "cubic closing-series coefficients commute with the family",
-            "task_closing_series",
-            {
-                "N": cfg["N"],
-                "points": cfg["points"],
-                "m_max": min(cfg["m_max"], 2),
-            },
-        )
-    )
-    return out
+def _commutativity(cfg):
+    for shifted, tag in _variants("shifted"):
+        args = _site_args(cfg, m_max=cfg["m_max"], shifted=shifted)
+        yield "commut/family" + tag, "task_commutativity", args
+    args = _site_args(cfg, m_max=min(cfg["m_max"], CLOSING_M_MAX))
+    yield "commut/closing-series", "task_closing_series", args
 
 
-def _tasks_quadham(cfg):
-    return [
-        (
-            "quadham/residues",
-            "weighted residues of the traced current square give the "
-            "pairwise site Hamiltonians",
-            "task_quadham",
-            {"N": cfg["N"], "points": cfg["points"]},
-        )
-    ]
+def _quadham(cfg):
+    yield "quadham/residues", "task_quadham", _site_args(cfg)
 
 
-def _tasks_qside(cfg):
-    out = [
-        (
-            "qside/exchange",
-            "bivariate exchange relation for the fused q-current",
-            "task_rll",
-            {"N": cfg["N"], "points": cfg["points"]},
-        )
-    ]
-    for with_D in (False, True):
-        out.append(
-            (
-                "qside/fused-family%s" % ("-twisted" if with_D else ""),
-                "traced fused elements pairwise commute within one family",
-                "task_bethe_family",
-                {
-                    "N": cfg["N"],
-                    "points": cfg["points"],
-                    "with_D": with_D,
-                    "k_max": 2,
-                },
-            )
-        )
-    for m in range(1, min(cfg["m_max"], Q_M_MAX) + 1):
-        for with_D in (False, True):
-            out.append(
-                (
-                    "qside/product-oracle-m%d%s" % (m, "-twisted" if with_D else ""),
-                    "recursion and binomial-collapse forms of the traced "
-                    "product agree",
-                    "task_mcal_oracle",
-                    {
-                        "N": cfg["N"],
-                        "points": cfg["points"],
-                        "m": m,
-                        "with_D": with_D,
-                    },
-                )
-            )
-    return out
+def _q_products(cfg, prefix, task):
+    """The checks of one q-side product for each order, plain then twisted."""
+    for m in _orders(cfg, Q_M_MAX):
+        for with_D, tag in _variants("twisted"):
+            args = _site_args(cfg, m=m, with_D=with_D)
+            yield "%s-m%d%s" % (prefix, m, tag), task, args
 
 
-def _tasks_qlimit(cfg):
-    out = []
-    for m in range(1, min(cfg["m_max"], Q_M_MAX) + 1):
-        for with_D in (False, True):
-            out.append(
-                (
-                    "qlimit/match-m%d%s" % (m, "-twisted" if with_D else ""),
-                    "first-order q-expansion of the traced product recovers "
-                    "the classical operator (central-scalar convention)",
-                    "task_qlimit",
-                    {
-                        "N": cfg["N"],
-                        "points": cfg["points"],
-                        "m": m,
-                        "with_D": with_D,
-                    },
-                )
-            )
+def _qside(cfg):
+    yield "qside/exchange", "task_rll", _site_args(cfg)
+    for with_D, tag in _variants("twisted"):
+        args = _site_args(cfg, with_D=with_D, k_max=2)
+        yield "qside/fused-family" + tag, "task_bethe_family", args
+    yield from _q_products(cfg, "qside/product-oracle", "task_mcal_oracle")
+
+
+def _qlimit(cfg):
+    yield from _q_products(cfg, "qlimit/match", "task_qlimit")
     for c in (1, -cfg["N"]):
-        out.append(
-            (
-                "qlimit/central-term-c%d" % c,
-                "second-order central term of the normalized R-matrix "
-                "difference",
-                "task_prop_central",
-                {"N": cfg["N"], "c": c, "x_order": cfg["x_order"]},
-            )
-        )
+        args = {"N": cfg["N"], "c": c, "x_order": cfg["x_order"]}
+        yield "qlimit/central-term-c%d" % c, "task_prop_central", args
     for N in range(2, 6):
-        out.append(
-            (
-                "qlimit/normalizer-first-order-N%d" % N,
-                "first-order coefficients of the R-matrix normalizer series",
-                "task_f_first",
-                {"N": N, "order": 4},
-            )
-        )
-    return out
+        args = {"N": N, "order": 4}
+        yield "qlimit/normalizer-first-order-N%d" % N, "task_f_first", args
 
 
-def _tasks_pbw_commut(cfg):
-    m_top = min(cfg["m_max"], 3)
-    d_max = min(cfg["u_order"], 3)
-    out = []
-    for m1 in range(1, m_top + 1):
-        for m2 in range(m1, m_top + 1):
-            for shifted in (False, True):
-                out.append(
-                    (
-                        "pbw/commut-m%d-m%d%s"
-                        % (m1, m2, "-shifted" if shifted else ""),
-                        "mode-algebra coefficients commute identically in "
-                        "the normal-ordered basis",
-                        "task_pbw_commut",
-                        {"m1": m1, "m2": m2, "d_max": d_max, "shifted": shifted},
-                    )
-                )
-    out.append(
-        (
-            "pbw/evaluation",
-            "evaluated symbolic coefficients match the representation-side "
-            "operators",
-            "task_pbw_eval",
-            {"points": cfg["points"], "m": min(cfg["m_max"], 3), "u_order": d_max},
-        )
-    )
-    return out
+def _pbw_commut(cfg):
+    m_top = min(cfg["m_max"], PBW_M_MAX)
+    d_max = min(cfg["u_order"], PBW_U_ORDER)
+    for m1, m2 in itertools.combinations_with_replacement(range(1, m_top + 1), 2):
+        for shifted, tag in _variants("shifted"):
+            args = {"m1": m1, "m2": m2, "d_max": d_max, "shifted": shifted}
+            yield "pbw/commut-m%d-m%d%s" % (m1, m2, tag), "task_pbw_commut", args
+    args = {"points": cfg["points"], "m": m_top, "u_order": d_max}
+    yield "pbw/evaluation", "task_pbw_eval", args
 
 
-def _tasks_pbw_invariance(cfg):
-    out = []
-    for m in range(1, min(cfg["m_max"], 2) + 1):
-        out.append(
-            (
-                "pbw/invariance-m%d" % m,
-                "lower-current modes annihilate the shifted coefficients "
-                "on the vacuum at the critical central value",
-                "task_pbw_vacuum",
-                {"m": m, "d_max": 2, "v_order": cfg["v_order"]},
-            )
-        )
-    return out
+def _pbw_invariance(cfg):
+    for m in _orders(cfg, VACUUM_M_MAX):
+        args = {"m": m, "d_max": 2, "v_order": cfg["v_order"]}
+        yield "pbw/invariance-m%d" % m, "task_pbw_vacuum", args
 
 
-_SUITE_BUILDERS = {
-    "ybe": _tasks_ybe,
-    "trace-lemmas": _tasks_trace_lemmas,
-    "theta-routes": _tasks_theta_routes,
-    "commutativity": _tasks_commutativity,
-    "quadham": _tasks_quadham,
-    "qside": _tasks_qside,
-    "qlimit": _tasks_qlimit,
-    "pbw-commut": _tasks_pbw_commut,
-    "pbw-invariance": _tasks_pbw_invariance,
+_SUITES = {
+    "ybe": _ybe,
+    "trace-lemmas": _trace_lemmas,
+    "theta-routes": _theta_routes,
+    "commutativity": _commutativity,
+    "quadham": _quadham,
+    "qside": _qside,
+    "qlimit": _qlimit,
+    "pbw-commut": _pbw_commut,
+    "pbw-invariance": _pbw_invariance,
+}
+
+SUITE_NAMES = (*_SUITES, "all")
+
+_CLAIMS = {
+    "task_classical_ybe": "three-leg commutator identity for the trigonometric "
+    "r-matrix",
+    "task_skew_symmetry": "leg swap with inverted argument negates the r-matrix",
+    "task_quantum_ybe": "braid-exchange identity for the quantum R-matrix over Q(q)",
+    "task_trace_cycle": "middle-leg trace of the skew-cycle chain collapses to "
+    "two legs",
+    "task_trace_one_leg": "single-leg traces of the skew tensors vanish",
+    "task_trace_mixed": "tracing the shared leg of a skew tensor against a flip "
+    "relabels it",
+    "task_trpi": "partial trace of mixed permutation chains, all leg subsets",
+    "task_theta_routes": "generating-function and recursion routes agree",
+    "task_theta_explicit": "closed-form low-order operator matches the generating "
+    "route",
+    "task_commutativity": "all extracted operator coefficients pairwise commute",
+    "task_closing_series": "cubic closing-series coefficients commute with the family",
+    "task_quadham": "weighted residues of the traced current square give the "
+    "pairwise site Hamiltonians",
+    "task_rll": "bivariate exchange relation for the fused q-current",
+    "task_bethe_family": "traced fused elements pairwise commute within one family",
+    "task_mcal_oracle": "recursion and binomial-collapse forms of the traced "
+    "product agree",
+    "task_qlimit": "first-order q-expansion of the traced product recovers "
+    "the classical operator (central-scalar convention)",
+    "task_prop_central": "second-order central term of the normalized R-matrix "
+    "difference",
+    "task_f_first": "first-order coefficients of the R-matrix normalizer series",
+    "task_pbw_commut": "mode-algebra coefficients commute identically in "
+    "the normal-ordered basis",
+    "task_pbw_eval": "evaluated symbolic coefficients match the "
+    "representation-side operators",
+    "task_pbw_vacuum": "lower-current modes annihilate the shifted coefficients "
+    "on the vacuum at the critical central value",
 }
 
 
 def build_tasks(suite, cfg):
+    """The task descriptors of a suite, in run order.
+
+    Each descriptor is ``(id, claim, task name, kwargs)``: the check's
+    id, its task's claim, the name of the ``task_*`` function in this
+    module that runs it, and the keyword arguments it is called with,
+    plain data, so a descriptor can go to a worker process.  ``"all"``
+    is every suite in turn, in the order of :data:`SUITE_NAMES`.
+    """
     if suite == "all":
-        out = []
-        for name in SUITE_NAMES[:-1]:
-            out.extend(_SUITE_BUILDERS[name](cfg))
-        return out
-    if suite not in _SUITE_BUILDERS:
+        rows = itertools.chain.from_iterable(gen(cfg) for gen in _SUITES.values())
+    elif suite in _SUITES:
+        rows = _SUITES[suite](cfg)
+    else:
         raise ValueError("unknown suite %r" % suite)
-    return _SUITE_BUILDERS[suite](cfg)
+    return [(check_id, _CLAIMS[fn], fn, kwargs) for check_id, fn, kwargs in rows]
 
 
 def _dispatch(task):

@@ -339,6 +339,17 @@ class TestQlimit:
         assert doc["pass"] is True
         assert "note" in doc
 
+    def test_config_timings_are_written(self, tmp_path):
+        lines = tmp_path / "t.jsonl"
+        config = tmp_path / "q.cfg"
+        config.write_text("timings = %s\n" % lines, encoding="utf-8")
+        out = tmp_path / "qlimit.json"
+        argv = ["qlimit", "--config", str(config), "--m-max", "1", "--out", str(out)]
+        assert run(argv) == 0
+        timings = [json.loads(line) for line in lines.read_text().splitlines()]
+        assert [t["id"] for t in timings] == [c["id"] for c in load(out)["checks"]]
+        assert len(timings) == 8
+
     def test_m_max_bound(self, tmp_path):
         out = tmp_path / "qlimit.json"
         for m in ("7", "0", "-1"):
