@@ -12,14 +12,17 @@ routes build the same differential operators theta_m:
   and traces all auxiliary legs.
 
 Both trace as they go: auxiliary leg t_a is traced out as soon as step a
-is done with it, so no operator ever lives on more than two auxiliary
-legs and the working space has dimension N^(2+l) for l sites, not
-N^(m+l).  Both live on :class:`ThetaContext`, which is built from the
-current alone, one tensor with the auxiliary leg first and the quantum
-legs after it, over any coefficient ring whose generator is u.  So the
-symbolic mode-algebra layer (a one-leg current of u-series) and the
-classical limit of the q-side (the eps^1 coefficient of the q-current)
-reuse both routes verbatim.
+is done with it, and each coupling of t_a to t_(a+1) is a weighted flip,
+whose trace against t_a only renames and reweights
+(:meth:`~triggaudin.tensor.AuxTensor.flip_trace`), so no operator ever
+lives on more than one auxiliary leg and the working space has
+dimension N^(1+l) for l sites, not N^(m+l).  Both live on
+:class:`ThetaContext`, which is built from the current alone, one tensor
+with the auxiliary leg first and the quantum legs after it, over any
+coefficient ring whose generator is u.  So the symbolic mode-algebra
+layer (a one-leg current of u-series) and the classical limit of the
+q-side (the eps^1 coefficient of the q-current) reuse both routes
+verbatim.
 
 :class:`Sites` holds the sites of a representation (N and the points);
 the q-side uses the same class with its own Laurent rings.
@@ -43,7 +46,6 @@ from .tensor import AuxTensor, Space, aux_leg, quantum_leg, single_leg_matrix
 from .weyl import DiffOp
 from .rmatrices import (
     diag_shift_rho,
-    permutation,
     r_classical,
     sign,
     t_taylor,
@@ -133,14 +135,17 @@ class ThetaContext:
     Both routes trace as they go.  Auxiliary leg t_a is touched by
     nothing after step a, and tr_a(A X B) = A tr_a(X) B when A and B do
     not act on t_a (d/du commutes with the trace), so t_a is traced
-    right after step a.  A step works in the space ``work`` = (t_a,
-    t_{a+1}, quantum legs) of dimension N^(2+l); the traced operator
-    lives on ``rest`` = (t_{a+1}, quantum legs) and is lifted back into
-    ``work`` with its t_{a+1} renamed t_a for the next step.
+    right after step a.  Every coupling of t_a to t_(a+1) (P, Tc and
+    the Taylor coefficients of T(y)) is a weighted flip, so the traced
+    step is :meth:`~triggaudin.weyl.OperatorPolynomial.flip_trace`: the
+    operator on (t_a, quantum legs) with t_a renamed t_(a+1) and its
+    blocks reweighted.  Every operator lives on the current's own legs,
+    whose auxiliary leg stands for the one leg not yet traced, of
+    dimension N^(1+l) for l sites.
 
-    The context keeps the chain X_1, X_2, ... of :meth:`theta_mbar` for
-    each ``shifted`` value, so theta_1, ..., theta_m taken together cost
-    one recursion to depth m, in whatever order they are asked for.
+    The context keeps the chain X_1 L, X_2 L, ... of :meth:`theta_mbar`
+    for each ``shifted`` value, so theta_1, ..., theta_m taken together
+    cost one recursion to depth m, in whatever order they are asked for.
     """
 
     def __init__(self, current):
@@ -149,6 +154,7 @@ class ThetaContext:
         self.ring = current.ring
         self.quantum_legs = list(current.space.legs[1:])
         self._quantum_names = [leg.name for leg in self.quantum_legs]
+        self._aux = current.space.legs[0].name
         self._chains = {}
 
     def script_l(self, space, aux, shifted):
@@ -162,80 +168,62 @@ class ThetaContext:
             c0 = c0 - rho.place(space, aux)
         return DiffOp(space, self.ring, {1: lead, 0: c0})
 
-    def _spaces(self):
-        """The step space (ta, tb, quantum legs) and (tb, quantum legs)."""
-        work = Space(self.N, [aux_leg("ta"), aux_leg("tb")] + self.quantum_legs)
-        return work, work.drop(["ta"])
-
-    def _lift(self, X, work):
-        """X on (tb, quantum legs) as an operator on ``work`` with tb -> ta."""
-        return X.place(work, "ta", *self._quantum_names)
-
-    def _pair(self, tensor, work):
-        """A two-leg tensor on the auxiliary legs (ta, tb) of ``work``."""
-        return tensor.place(work, "ta", "tb")
-
-    def _chain(self, shifted):
-        """The kept chain [X_1, X_2, ...] for ``shifted`` and its step data."""
-        if shifted not in self._chains:
-            work, rest = self._spaces()
-            self._chains[shifted] = (
-                [DiffOp.identity(rest, self.ring)],
-                work,
-                self._pair(permutation(self.N, self.ring), work),
-                self._pair(tc(self.N, self.ring), work),
-                self.script_l(work, "ta", shifted),
-                self.script_l(rest, "tb", shifted),
-            )
-        return self._chains[shifted]
+    def _script_l(self, shifted):
+        """:meth:`script_l` on the current's own legs."""
+        return self.script_l(self.current.space, self._aux, shifted)
 
     def theta_mbar(self, m, shifted=False):
         """theta_m through the right-multiplication recursion.
 
-        X_1 = 1, X_{a+1} = tr_a(P_{a,a+1} (X_a L_a) + Tc_{a,a+1} X_a),
-        theta_m = tr_m(X_m L_m).  X_a does not depend on m, so the chain
-        is kept per ``shifted`` and extended only as far as m: theta_1,
-        ..., theta_m on one context run the recursion once.
+        X_1 = 1, X_{a+1} = tr_a(P_{a,a+1} (X_a L_a) + Tc_{a,a+1} X_a)
+        = X_a L + flip_Tc(X_a) (P has weight one on every block),
+        theta_m = tr(X_m L).  X_a does not depend on m, and X_a L serves
+        both theta_a and X_{a+1}, so the chain X_1 L, X_2 L, ... and the
+        last X are kept per ``shifted`` and extended only as far as m:
+        theta_1, ..., theta_m on one context run the recursion once.
         """
         if m < 1:
             raise ValueError("m must be >= 1")
-        xs, work, P, Tc, la, lb = self._chain(bool(shifted))
-        while len(xs) < m:
-            X = self._lift(xs[-1], work)
-            xs.append(((X * la).premul(P) + X.premul(Tc)).partial_trace(["ta"]))
-        return (xs[m - 1] * lb).partial_trace(["tb"])
+        shifted = bool(shifted)
+        X, xls = self._chains.get(shifted, (None, []))
+        if len(xls) < m:
+            L = self._script_l(shifted)
+            Tc = tc(self.N, self.ring)
+            while len(xls) < m:
+                if X is None:
+                    X = DiffOp.identity(self.current.space, self.ring)
+                else:
+                    X = xls[-1] + X.flip_trace(Tc)
+                xls.append(X * L)
+            self._chains[shifted] = (X, xls)
+        return xls[m - 1].partial_trace([self._aux])
 
     def theta_generating(self, m, shifted=False):
         """theta_m as the y^m coefficient of the generating function.
 
         The s-leg term tr_{1..s} T_{s-1,s}(y)...T_{12}(y) L_1...L_s is
-        tr_s(Z_s L_s) with Z_1 = 1 and Z_{a+1} = tr_a(T_{a,a+1}(y) Z_a L_a).
-        The recursion for Z does not depend on s, so one pass serves
-        every term: Z_a is kept as {y-degree: operator} up to degree
-        m - a, and the s-leg term contributes tr_s(Z_s L_s) at y^(m-s)
-        (Z_1 = 1 has degree 0 only, so the one-leg term counts for m = 1).
+        tr_s(Z_s L_s) with Z_1 = 1 and Z_{a+1} = tr_a(T_{a,a+1}(y) Z_a L_a)
+        = sum_k y^k flip_{T_k}(Z_a L).  The recursion for Z does not
+        depend on s, so one pass serves every term: Z_a is kept as
+        {y-degree: operator} up to degree m - a, and the s-leg term
+        contributes tr_s(Z_s L_s) at y^(m-s) (Z_1 = 1 has degree 0 only,
+        so the one-leg term counts for m = 1).
         """
         if m < 1:
             raise ValueError("m must be >= 1")
-        work, rest = self._spaces()
-        T = [self._pair(t_taylor(self.N, self.ring, k), work) for k in range(m - 1)]
-        la = self.script_l(work, "ta", shifted)
-        lb = self.script_l(rest, "tb", shifted)
-        Z = {0: DiffOp.identity(rest, self.ring)}
-        total = DiffOp.zero(rest.drop(["tb"]), self.ring)
+        T = [t_taylor(self.N, self.ring, k) for k in range(m - 1)]
+        L = self._script_l(shifted)
+        Z = {0: DiffOp.identity(self.current.space, self.ring)}
+        total = DiffOp.zero(self.current.space.drop([self._aux]), self.ring)
         for s in range(1, m + 1):
-            if m - s in Z:
-                total = total + (Z[m - s] * lb).partial_trace(["tb"])
-            if s == m:
-                break
-            top = m - s - 1
-            nxt = {}
-            for d, z in Z.items():
-                zl = self._lift(z, work) * la
-                for k in range(top - d + 1):
-                    term = zl.premul(T[k])
-                    nxt[d + k] = nxt[d + k] + term if d + k in nxt else term
-            Z = {d: z.partial_trace(["ta"]) for d, z in nxt.items()}
+            zl = {d: z * L for d, z in Z.items()}
+            if m - s in zl:
+                total = total + zl.pop(m - s).partial_trace([self._aux])
+            Z = {}
+            for d, z in zl.items():
+                for k in range(m - s - d):
+                    term = z.flip_trace(T[k])
+                    Z[d + k] = Z[d + k] + term if d + k in Z else term
         return total
 
 

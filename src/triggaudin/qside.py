@@ -32,11 +32,11 @@ over Q: the normalizer's denominators q^(2Nk) - 1 = eps * unit divide
 out exactly there.
 
 Nothing is built twice for one site set: the cleared currents and the
-traced fused elements are kept in bounded caches, ``mcal_collapsed``
-reads its terms from a :class:`NewtonChain` kept per site set and
-twist, and the classical recursion's context is kept per site set, so
-the product oracle and the classical limit at one site set build each
-term once.
+traced fused elements are kept in bounded caches, ``mcal`` extends its
+chain X_1, X_2, ... and ``mcal_collapsed`` reads its terms from a
+:class:`NewtonChain`, both kept per site set and twist, and the
+classical recursion's context is kept per site set, so the product
+oracle and the classical limit at one site set build each term once.
 
 Convention note: the eps^1 coefficient of L+(u) differs from the
 classical current sum_i r_{0i}(u/a_i) by the central scalar series
@@ -237,7 +237,10 @@ def mcal(rep, m, with_D=False):
     X_{a+1} = tr_a(P_{a,a+1} X_a - P^q_{a,a+1} (X_a M_a)) and the result
     is tr_m(X_m - X_m M_m).  X_a lives on (tb, sites) and each step works
     in (ta, tb, sites), so the working space has dimension N^(2+l) for l
-    sites, not N^(m+l).
+    sites, not N^(m+l).  X_a does not depend on m, so the chain X_1,
+    X_2, ... is kept per (N, points, twist) (:func:`_mcal_chain`) and
+    extended only as far as m; the step operators are placed afresh on
+    every call, from the kept current.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -253,11 +256,20 @@ def mcal(rep, m, with_D=False):
     m_tb = QDiffOp(rest, QU, {1: L.place(rest, "tb", *sites)}, shift)
     pp = permutation(rep.N, QU).place(work, "ta", "tb")
     pq = q_permutation(rep.N, QU, q).place(work, "ta", "tb")
-    X = QDiffOp.identity(rest, QU, shift)
-    for _ in range(1, m):
-        X = X.place(work, "ta", *sites)
-        X = (X.premul(pp) - (X * m_ta).premul(pq)).partial_trace(["ta"])
+    xs = _mcal_chain(rep.N, rep.points, bool(with_D))
+    while len(xs) < m:
+        X = xs[-1].place(work, "ta", *sites)
+        xs.append((X.premul(pp) - (X * m_ta).premul(pq)).partial_trace(["ta"]))
+    X = xs[m - 1]
     return (X - X * m_tb).partial_trace(["tb"])
+
+
+@lru_cache(maxsize=32)
+def _mcal_chain(N, points, with_D):
+    """The chain [X_1, X_2, ...] of :func:`mcal`, kept for the process
+    per site set and twist; :func:`mcal` extends it in place."""
+    space = QRep(N, points).space(["tb"])
+    return [QDiffOp.identity(space, QU, QU.gens[0] ** -2)]
 
 
 class NewtonChain:

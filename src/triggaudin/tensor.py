@@ -18,7 +18,10 @@ do not unpack them entry by entry: ``embed`` adds one precomputed
 offset per source index and one per combination of the free legs, and
 ``partial_trace`` reads the traced digits and the kept index of a flat
 index from two tables, cached per (N, number of legs, traced
-positions).
+positions).  ``flip_trace`` contracts a weighted flip with a tensor
+without forming their product: it reads each entry's block on the first
+leg by two integer divisions and scales the entry by that block's
+weight.
 """
 
 from functools import lru_cache
@@ -271,6 +274,44 @@ class AuxTensor:
                 out[key] = v
         return AuxTensor(new_space, self.ring, out)
 
+    def flip_trace(self, flip):
+        """tr_a(T_ab Y_a) for a weighted flip T and this tensor Y.
+
+        ``flip`` is T = sum_ij c_ij e_ij (x) e_ji on two legs (a, b);
+        any other two-leg tensor raises ``ValueError``.  Y's first leg
+        is a.  With Y^(ji) the block (j, i) of Y's first leg,
+
+            tr_a(T_ab Y_a) = sum_ij c_ij e_ji (x) Y^(ji),
+
+        which is Y with leg a renamed b and each block (j, i) scaled by
+        c_ij: no product is formed and no second leg is embedded.  The
+        result lives on Y's space, whose first leg now stands for b;
+        entries are kept, negated or multiplied (c_ij on the left) by
+        their block's weight, and dropped where it is zero.
+        """
+        if flip.ring != self.ring:
+            raise ValueError("coefficient ring mismatch")
+        N = self.space.N
+        if flip.space.N != N:
+            raise ValueError("leg size mismatch in flip_trace")
+        weights = _flip_weights(flip)
+        one = self.ring.one
+        keep = {b for b, w in enumerate(weights) if w is not None and w == one}
+        negate = {b for b, w in enumerate(weights) if w is not None and w == -one}
+        stride = N ** (self.space.nlegs - 1)
+        out = {}
+        for key, v in self.entries.items():
+            b = key[0] // stride * N + key[1] // stride
+            if b in keep:
+                out[key] = v
+            elif b in negate:
+                out[key] = -v
+            elif weights[b] is not None:
+                p = weights[b] * v
+                if p:
+                    out[key] = p
+        return AuxTensor(self.space, self.ring, out)
+
     def trace(self):
         """Full trace over all legs, as a ring element."""
         acc = self.ring.zero
@@ -357,6 +398,29 @@ def _trace_split(N, n, positions):
             pairs = [(t, k * N + d) for t, k in pairs for d in range(N)]
     traced, kept = zip(*pairs)
     return traced, kept
+
+
+def _flip_weights(flip):
+    """The weights of a weighted flip sum_ij c_ij e_ij (x) e_ji, by the
+    block of the traced leg they scale: entry j * N + i is c_ij, or None
+    where c_ij is zero.  ``ValueError`` unless ``flip`` has two legs and
+    every entry sits at row (i, j), column (j, i)."""
+    N = flip.space.N
+    if flip.space.nlegs != 2:
+        raise ValueError("a weighted flip has two legs, not %d" % flip.space.nlegs)
+    weights = [None] * (N * N)
+    for (r, c), v in flip.entries.items():
+        # the entry of e_ij (x) e_kl sits at row (i, k), column (j, l)
+        i, k = divmod(r, N)
+        j, l = divmod(c, N)
+        if (k, l) != (j, i):
+            raise ValueError(
+                "not a weighted flip: entry e_%d%d (x) e_%d%d"
+                % (i + 1, j + 1, k + 1, l + 1)
+            )
+        if v:
+            weights[j * N + i] = v
+    return weights
 
 
 def aux_space(N, k):

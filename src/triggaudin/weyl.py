@@ -91,6 +91,12 @@ class OperatorPolynomial:
         """Left multiplication by a u-independent tensor."""
         return self._new({k: t * c for k, c in self.coeffs.items()})
 
+    def flip_trace(self, flip):
+        """tr_a(T_ab X_a) for a weighted flip T, coefficient by
+        coefficient (:meth:`AuxTensor.flip_trace`): T stands to the left
+        of every coefficient, as in :meth:`premul`."""
+        return self._new({k: t.flip_trace(flip) for k, t in self.coeffs.items()})
+
     def scale(self, c):
         return self._new({k: t.scale(c) for k, t in self.coeffs.items()})
 

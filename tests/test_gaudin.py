@@ -171,6 +171,23 @@ class TestContractedRoutes:
             ctx, m, shifted
         )
 
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_one_auxiliary_leg_at_most(self, shifted, monkeypatch):
+        # structural guard: with every coupling traced as a weighted flip,
+        # no step embeds a tensor into more than (one aux leg, sites)
+        dims = []
+        embed = AuxTensor.embed
+
+        def recording_embed(self, target, assignment):
+            dims.append(target.dim)
+            return embed(self, target, assignment)
+
+        monkeypatch.setattr(AuxTensor, "embed", recording_embed)
+        rep = gaudin.GaudinRep(3, [rational(1, 2), rational(3)])
+        ctx = gaudin.rep_context(rep)
+        assert ctx.theta_mbar(4, shifted) == ctx.theta_generating(4, shifted)
+        assert max(dims) == 3 ** (1 + rep.l)
+
     def test_wrong_tc_fails_with_witness(self, monkeypatch):
         # negative control: -Tc in the recursion only (the generating
         # route takes Tc from t_taylor); at m = 2 the Tc term traces to

@@ -462,6 +462,29 @@ class TestKeptObjects:
         assert other.theta_mbar(2) != kept.theta_mbar(2)
         assert kept.theta_mbar(2, True) != kept.theta_mbar(2)
 
+    @pytest.mark.parametrize("order", [(1, 2, 3, 4), (4, 3, 2, 1)])
+    def test_kept_mcal_chain_equals_a_fresh_build(self, order, monkeypatch):
+        qside._mcal_chain.cache_clear()
+        for with_D in (False, True):
+            kept = {m: qside.mcal(self.rep, m, with_D) for m in order}
+            assert len(qside._mcal_chain(2, self.rep.points, with_D)) == 4
+            with monkeypatch.context() as patch:
+                patch.setattr(qside, "_mcal_chain", qside._mcal_chain.__wrapped__)
+                fresh = {m: qside.mcal(self.rep, m, with_D) for m in order}
+            assert kept == fresh
+
+    def test_mcal_chains(self):
+        qside.mcal(self.rep, 2)
+        qside.mcal(self.rep, 2, True)
+        qside.mcal(self.other, 2)
+        kept = qside._mcal_chain(2, self.rep.points, False)
+        assert qside._mcal_chain(2, rep_of(2, ("1", "3")).points, False) is kept
+        others = [
+            qside._mcal_chain(2, self.rep.points, True),
+            qside._mcal_chain(2, self.other.points, False),
+        ]
+        assert all(o is not kept and o[1] != kept[1] for o in others)
+
     def test_uncleared_series(self):
         kept = qside._uncleared(2, self.rep.points, 2, 3)
         assert qside._uncleared(2, self.rep.points, 2, 3) is kept

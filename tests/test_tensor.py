@@ -5,8 +5,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import Phase, find, given, settings, strategies as st
 
+from triggaudin import gaudin, qside
+from triggaudin import tensor as tensor_module
 from triggaudin.kernels import sparse_add
 from triggaudin.rationals import QQ, rational
+from triggaudin.rmatrices import (
+    permutation,
+    q_permutation,
+    r_classical,
+    r_quantum_scaled,
+    tc,
+    tc_bar,
+)
 from triggaudin.tensor import (
     AuxTensor,
     Space,
@@ -17,6 +27,7 @@ from triggaudin.tensor import (
     single_leg_matrix,
     two_leg_tensor,
 )
+from triggaudin.weyl import DiffOp
 
 import tensor_reference
 
@@ -252,3 +263,152 @@ class TestTracedChain:
             settings=settings(SETTINGS, phases=[Phase.generate]),
         )
         assert factors and traced
+
+
+# -- weighted flips against place, premul and partial_trace --------------
+
+FLIP_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True)
+
+small_ints = st.integers(min_value=-4, max_value=4)
+nonzero_ints = small_ints.filter(bool)
+
+
+def _flip_rings():
+    """(ring, q, entry strategy) for QQ, the pole ring Q(u) of the
+    classical side and the Laurent ring Q[q^+-1, u^+-1] of the q-side."""
+    Qu, QU = gaudin.Qu, qside.QU
+    u = Qu.gen
+    q, v = QU.gens
+    pole = st.builds(
+        lambda a, b, c: (Qu.from_int(a) * u + Qu.from_int(b)) / (u - Qu.from_int(c)),
+        small_ints, nonzero_ints, nonzero_ints,
+    )
+    laurent = st.builds(
+        lambda a, i, j: QU.from_int(a) * q**i * v**j,
+        nonzero_ints, st.integers(-2, 2), st.integers(-2, 2),
+    )
+    return [
+        pytest.param(QQ, Fraction(3, 2), values, id="QQ"),
+        pytest.param(Qu, Qu.from_int(3), pole, id="Qu"),
+        pytest.param(QU, q, laurent, id="QU"),
+    ]
+
+
+FLIP_RINGS = _flip_rings()
+
+
+def _flips(N, ring, q):
+    """P, Tc, TcBar and P^q, the couplings of the theta routes and of
+    the q-side products."""
+    return {
+        "P": permutation(N, ring),
+        "Tc": tc(N, ring),
+        "TcBar": tc_bar(N, ring),
+        "Pq": q_permutation(N, ring, q),
+    }
+
+
+def _flip_space(N, l):
+    return Space(N, [aux_leg("t")] + [quantum_leg("s%d" % i) for i in range(1, l + 1)])
+
+
+def flip_reference(flip, Y):
+    """tr_a(T_ab Y_a) by place, premul and partial_trace in (ta, tb, sites)."""
+    sites = Y.space.leg_names()[1:]
+    work = Space(Y.space.N, [aux_leg("ta"), aux_leg("tb")] + list(Y.space.legs[1:]))
+    placed = Y.place(work, "ta", *sites)
+    return (flip.place(work, "ta", "tb") * placed).partial_trace(["ta"])
+
+
+@st.composite
+def flip_cases(draw, ring, entries):
+    """A tensor Y over ``ring`` on (t, 1 or 2 sites) at N = 2 or 3."""
+    N = draw(st.sampled_from([2, 3]))
+    space = _flip_space(N, draw(st.integers(min_value=1, max_value=2)))
+    index = st.integers(min_value=0, max_value=space.dim - 1)
+    Y = draw(st.dictionaries(st.tuples(index, index), entries, max_size=12))
+    return AuxTensor(space, ring, Y)
+
+
+def _full_tensor(N, ring, value):
+    """A tensor on (t, one site) with the entries ``value(r, c)``, zeros
+    dropped: every block of t is touched, so a weight read from the
+    wrong block shows."""
+    space = _flip_space(N, 1)
+    return AuxTensor(
+        space, ring,
+        {(r, c): value(r, c) for r in range(space.dim) for c in range(space.dim)},
+        clean=True,
+    )
+
+
+class TestFlipTrace:
+    @FLIP_SETTINGS
+    @pytest.mark.parametrize("name", ["P", "Tc", "TcBar", "Pq"])
+    @pytest.mark.parametrize("ring, q, entries", FLIP_RINGS)
+    @given(data=st.data())
+    def test_matches_place_premul_trace(self, name, ring, q, entries, data):
+        Y = data.draw(flip_cases(ring, entries))
+        flip = _flips(Y.space.N, ring, q)[name]
+        got = Y.flip_trace(flip)
+        assert got.space == Y.space
+        assert got.entries == flip_reference(flip, Y).entries
+
+    def test_operator_polynomial_coefficientwise(self):
+        Qu = gaudin.Qu
+        u = Qu.gen
+        Y = _full_tensor(
+            2, Qu, lambda r, c: Qu.from_int(r - 2 * c + 1) / (u - Qu.from_int(r + 1))
+        )
+        op = DiffOp(Y.space, Qu, {0: Y, 2: Y.scale(u)})
+        work = Space(2, [aux_leg("ta"), aux_leg("tb"), quantum_leg("s1")])
+        for flip in _flips(2, Qu, Qu.from_int(3)).values():
+            want = op.place(work, "ta", "s1").premul(flip.place(work, "ta", "tb"))
+            want = want.partial_trace(["ta"])
+            got = op.flip_trace(flip)
+            assert sorted(got.coeffs) == sorted(want.coeffs)
+            for k, t in want.coeffs.items():
+                assert got.coeffs[k].entries == t.entries
+
+    @pytest.mark.parametrize("name", ["Tc", "Pq"])
+    @pytest.mark.parametrize("ring, q, entries", FLIP_RINGS)
+    def test_transposed_weights_fail(self, name, ring, q, entries, monkeypatch):
+        # negative control: block (j, i) scaled by c_ji instead of c_ij;
+        # Tc and P^q have c_ji != c_ij, so the differential test sees it
+        real = tensor_module._flip_weights
+
+        def transposed(flip):
+            w, N = real(flip), flip.space.N
+            return [w[(b % N) * N + b // N] for b in range(N * N)]
+
+        Y = _full_tensor(3, ring, lambda r, c: ring.from_int(r + 3 * c + 1))
+        flip = _flips(3, ring, q)[name]
+        want = flip_reference(flip, Y).entries
+        assert Y.flip_trace(flip).entries == want
+        monkeypatch.setattr(tensor_module, "_flip_weights", transposed)
+        assert Y.flip_trace(flip).entries != want
+
+    def test_r_classical_is_a_weighted_flip(self):
+        # r(x) carries (1+x)/(1-x) + sign(j-i) on e_ij (x) e_ji only
+        Qu = gaudin.Qu
+        Y = _full_tensor(3, Qu, lambda r, c: Qu.from_int(r - c))
+        r = r_classical(3, Qu, Qu.gen)
+        assert Y.flip_trace(r).entries == flip_reference(r, Y).entries
+
+    def test_non_flips_are_refused(self):
+        q, v = qside.QU.gens
+        Y = _full_tensor(2, QQ, lambda r, c: Fraction(r + c + 1))
+        # e_11 (x) e_22, and the R-matrix with its e_ii (x) e_jj terms
+        mixed = two_leg_tensor(
+            2, QQ, lambda i, j, k, l: QQ.one if (i, j, k, l) == (1, 1, 2, 2) else None
+        )
+        with pytest.raises(ValueError, match="not a weighted flip"):
+            Y.flip_trace(mixed)
+        with pytest.raises(ValueError, match="not a weighted flip"):
+            _full_tensor(2, qside.QU, lambda r, c: qside.QU.one).flip_trace(
+                r_quantum_scaled(2, qside.QU, q, v)
+            )
+        with pytest.raises(ValueError, match="two legs"):
+            Y.flip_trace(e_matrix(2, 1, 2))
+        with pytest.raises(ValueError):
+            Y.flip_trace(_flips(3, QQ, Fraction(2))["P"])
