@@ -403,28 +403,96 @@ def commutator_entries(a, b):
     return [(k, Fraction(v, d)) for k, v in sorted(comm.items())]
 
 
+def commutator_width(ops):
+    """The digit width K of :func:`packed_commutators` for cleared ``ops``.
+
+    With n one more than the largest column index and M the largest
+    |entry|, every entry of every [A_i, A_j] is a sum of at most 2n
+    products of size at most M^2, so it lies strictly inside +-2^(K-1)
+    for K = bit_length(2 n M^2) + 1.
+    """
+    n = 1 + max((c for e, _ in ops for _, c in e), default=0)
+    m = max((abs(v) for e, _ in ops for v in e.values()), default=0)
+    return (2 * n * m * m).bit_length() + 1
+
+
+def packed_commutators(ops, rows=None):
+    """Yield (i, j, entries) for i < j and i < ``rows``, in that order.
+
+    ``entries`` is what :func:`commutator_entries` gives for the cleared
+    operators ``ops[i]`` and ``ops[j]``, but member i costs two
+    ``sparse_matmul`` calls for all its j together, not two per pair.
+    The later members are packed into one integer matrix,
+    B_i = sum_s A_(i+1+s) 2^(K s), built once for every i by Horner from
+    the last member, with K from :func:`commutator_width`; then
+    A_i B_i - B_i A_i = sum_s 2^(K s) [A_i, A_(i+1+s)].  Every entry of
+    every commutator lies strictly inside +-2^(K-1), so the balanced
+    base-2^K digits of each packed entry are the entries of the single
+    commutators, and a pair commutes exactly when its digits are all
+    zero.  Decoding that leaves a remainder past the last digit raises
+    ``ArithmeticError`` instead of dropping the carry.
+    """
+    count = len(ops)
+    rows = count if rows is None else rows
+    width = commutator_width(ops)
+    base, half = 1 << width, 1 << (width - 1)
+    mask = base - 1
+    packs = [{}] * count
+    for j in range(count - 1, 0, -1):
+        pack = {k: v << width for k, v in packs[j].items()}
+        for k, v in ops[j][0].items():
+            pack[k] = pack.get(k, 0) + v
+        packs[j - 1] = pack
+    for i in range(min(rows, count - 1)):
+        a, da = ops[i]
+        b = packs[i]
+        ba = sparse_matmul(b, a)
+        comm = sparse_add(sparse_matmul(a, b), {k: -v for k, v in ba.items()})
+        digits = [[] for _ in range(i + 1, count)]
+        for key in sorted(comm):
+            x = comm[key]
+            for s in range(len(digits)):
+                d = x & mask
+                if d >= half:
+                    d -= base
+                if d:
+                    digits[s].append((key, Fraction(d, da * ops[i + 1 + s][1])))
+                x = (x - d) >> width
+                if not x:
+                    break
+            if x:
+                raise ArithmeticError("packed commutator carries past its last digit")
+        for s, entries in enumerate(digits):
+            yield i, i + 1 + s, entries
+
+
 def commutativity_report(family):
     """Exact pairwise commutators; pass iff all vanish.
 
     Each member is cleared of denominators once, and every commutator
-    is taken on those integers (:func:`commutator_entries`); a failing
-    pair's witness is the commutator's sorted entries over Q.
+    is taken on those integers by :func:`packed_commutators`: member i is
+    multiplied both ways with B_i = sum_s A_(i+1+s) 2^(K s), the later
+    members packed with K = bit_length(2 n M^2) + 1 bits per member (n
+    the dimension, M the largest cleared entry), and the balanced
+    base-2^K digits of A_i B_i - B_i A_i are its commutators with them.
+    So F members cost 2 (F - 1) products, not F (F - 1).  A failing
+    pair's witness is its commutator's sorted entries over Q, exactly as
+    :func:`commutator_entries` gives them.
     """
     ops = [cleared(member.op) for member in family]
+    labels = [member.label() for member in family]
     records = []
     ok = True
-    for i in range(len(family)):
-        for j in range(i + 1, len(family)):
-            comm = commutator_entries(ops[i], ops[j])
-            good = not comm
-            ok = ok and good
-            records.append(
-                {
-                    "pair": (family[i].label(), family[j].label()),
-                    "zero": good,
-                    "witness": None if good else comm,
-                }
-            )
+    for i, j, comm in packed_commutators(ops):
+        good = not comm
+        ok = ok and good
+        records.append(
+            {
+                "pair": (labels[i], labels[j]),
+                "zero": good,
+                "witness": None if good else comm,
+            }
+        )
     return {"pass": ok, "pairs": records}
 
 

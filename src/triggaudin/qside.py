@@ -350,6 +350,12 @@ def mcal_collapsed(rep, m, with_D=False):
     return total
 
 
+@lru_cache(maxsize=8)
+def _permutations(N):
+    """P^q and P over :data:`QU`, built once per N for every subset."""
+    return q_permutation(N, QU, QU.gens[0]), permutation(N, QU)
+
+
 def trace_identity_pi(m, subset, N):
     """Partial-trace collapse of the permutation sandwich.
 
@@ -365,8 +371,7 @@ def trace_identity_pi(m, subset, N):
         raise ValueError("subset out of range")
     names = ["t%d" % a for a in range(1, m + 1)]
     space = Space(N, [aux_leg(nm) for nm in names])
-    pq = q_permutation(N, QU, QU.gens[0])
-    pp = permutation(N, QU)
+    pq, pp = _permutations(N)
     inset = set(subset)
     factors = [
         (pq if a in inset else pp, names[a - 1], names[a]) for a in range(m - 1, 0, -1)

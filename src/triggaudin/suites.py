@@ -214,22 +214,21 @@ def task_closing_series(N, points, m_max):
     """Coefficients of the closing cubic series commute with the family."""
     rep = gaudin.GaudinRep(N, _points(points))
     closing = gaudin.closing_series(rep)
-    ops = [
-        (loc, gaudin.cleared(op))
-        for loc, op in gaudin.partial_fraction_data(closing, list(rep.points))
-    ]
-    family = [
-        (member.label(), gaudin.cleared(member.op))
-        for member in gaudin.extract_family(rep, m_max)
-    ]
-    bad = []
-    for loc, op in ops:
-        for label, member in family:
-            if gaudin.commutator_entries(op, member):
-                bad.append({"closing": list(map(str, loc)), "member": label})
-    for (la, a), (lb, b) in itertools.combinations(ops, 2):
-        if gaudin.commutator_entries(a, b):
-            bad.append({"pair": [list(map(str, la)), list(map(str, lb))]})
+    ops = gaudin.partial_fraction_data(closing, list(rep.points))
+    family = gaudin.extract_family(rep, m_max)
+    cleared = [gaudin.cleared(op) for _, op in ops]
+    cleared += [gaudin.cleared(member.op) for member in family]
+    with_member, within = [], []
+    for i, j, comm in gaudin.packed_commutators(cleared, rows=len(ops)):
+        if not comm:
+            continue
+        loc = list(map(str, ops[i][0]))
+        if j < len(ops):
+            within.append({"pair": [loc, list(map(str, ops[j][0]))]})
+        else:
+            member = family[j - len(ops)].label()
+            with_member.append({"closing": loc, "member": member})
+    bad = with_member + within
     return not bad, bad or None
 
 

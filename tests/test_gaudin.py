@@ -322,3 +322,185 @@ class TestIntegerCommutators:
         )
         # the family alone commutes, with no witness
         assert gaudin.commutativity_report(family)["pass"]
+
+
+def pairwise_report(family):
+    """The report built pair by pair from :func:`gaudin.commutator_entries`."""
+    ops = [gaudin.cleared(member.op) for member in family]
+    records = []
+    for i in range(len(family)):
+        for j in range(i + 1, len(family)):
+            comm = gaudin.commutator_entries(ops[i], ops[j])
+            records.append(
+                {
+                    "pair": (family[i].label(), family[j].label()),
+                    "zero": not comm,
+                    "witness": comm or None,
+                }
+            )
+    return {"pass": all(r["zero"] for r in records), "pairs": records}
+
+
+def broken(family, index):
+    """``family`` with 1/3 added to entry (0, 7) of member ``index``."""
+    member = family[index]
+    entries = dict(member.op.entries)
+    entries[(0, 7)] = entries.get((0, 7), 0) + Fraction(1, 3)
+    entries = {k: v for k, v in entries.items() if v}
+    op = AuxTensor(member.op.space, QQ, entries)
+    return (
+        family[:index]
+        + [gaudin.FamilyMember(member.m, member.k, member.location, op)]
+        + family[index + 1 :]
+    )
+
+
+int_entries = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.integers(-(10**30), 10**30).filter(bool),
+    max_size=8,
+)
+int_family = st.lists(st.tuples(int_entries, st.integers(1, 6)), max_size=6)
+
+# members whose commutators are [A0, A1] = 4 e_01, [A0, A2] = -e_01 and
+# [A1, A2] = -e_01; commutator_width gives 4 bits for them
+ALIAS_FAMILY = [
+    ({(0, 0): 1, (0, 1): 1, (1, 1): -1}, 1),
+    ({(0, 0): -1, (0, 1): 1, (1, 1): 1}, 1),
+    ({(0, 0): 1}, 1),
+]
+
+
+class TestPackedCommutators:
+    """Two packed products per member against the pairwise commutators."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(int_family, st.integers(0, 7))
+    def test_matches_pairwise_entries(self, ops, rows):
+        expected = [
+            (i, j, gaudin.commutator_entries(ops[i], ops[j]))
+            for i in range(len(ops))
+            for j in range(i + 1, len(ops))
+        ]
+        assert list(gaudin.packed_commutators(ops)) == expected
+        assert list(gaudin.packed_commutators(ops, rows=rows)) == [
+            t for t in expected if t[0] < rows
+        ]
+
+    def test_empty_and_single_member(self):
+        assert list(gaudin.packed_commutators([])) == []
+        assert list(gaudin.packed_commutators([({(0, 1): 5}, 2)])) == []
+        zero = ({}, 1)
+        assert list(gaudin.packed_commutators([zero, zero, ({(1, 0): -3}, 1)])) == [
+            (0, 1, []),
+            (0, 2, []),
+            (1, 2, []),
+        ]
+
+    @pytest.mark.parametrize(
+        "N, points, m_max, shifted",
+        [
+            (3, ("1/2", "3"), 3, False),
+            (3, ("1/2", "3"), 3, True),
+            (3, ("1", "3"), 5, False),
+            (4, ("1", "3"), 4, True),
+        ],
+    )
+    def test_broken_member_records_match_pairwise(self, N, points, m_max, shifted):
+        rep = gaudin.GaudinRep(N, [rational(p) for p in points])
+        family = gaudin.extract_family(rep, m_max, shifted)
+        assert gaudin.commutativity_report(family) == pairwise_report(family)
+        bad = broken(family, 5)
+        report = gaudin.commutativity_report(bad)
+        assert report == pairwise_report(bad)
+        assert not report["pass"]
+
+    def test_two_products_per_member(self, monkeypatch):
+        calls = []
+        matmul = gaudin.sparse_matmul
+
+        def counted(a, b):
+            calls.append(1)
+            return matmul(a, b)
+
+        family = broken(gaudin.extract_family(rep22(), 3), 5)
+        monkeypatch.setattr(gaudin, "sparse_matmul", counted)
+        report = gaudin.commutativity_report(family)
+        assert len(calls) == 2 * (len(family) - 1)
+        monkeypatch.undo()
+        assert report == pairwise_report(family)
+
+    def test_width_bound_is_needed(self, monkeypatch):
+        # negative control: one bit below the bound, the carry out of
+        # [A0, A1] = 4 e_01 cancels [A0, A2] = -e_01, so a pair that does
+        # not commute reads as commuting
+        honest = list(gaudin.packed_commutators(ALIAS_FAMILY))
+        assert honest[1] == (0, 2, [((0, 1), Fraction(-1))])
+        width = gaudin.commutator_width
+        assert width(ALIAS_FAMILY) == 4
+        monkeypatch.setattr(gaudin, "commutator_width", lambda ops: width(ops) - 1)
+        short = list(gaudin.packed_commutators(ALIAS_FAMILY))
+        assert short[1] == (0, 2, [])
+        # at width 2 the entries 2^2 and -1 of consecutive pairs pack to 0
+        monkeypatch.setattr(gaudin, "commutator_width", lambda ops: 2)
+        packed = list(gaudin.packed_commutators(ALIAS_FAMILY))
+        assert packed[:2] == [(0, 1, []), (0, 2, [])]
+
+    def test_carry_past_last_digit_raises(self, monkeypatch):
+        # one pair whose entry 4 needs more than a 3-bit balanced digit
+        pair = ALIAS_FAMILY[:2]
+        assert list(gaudin.packed_commutators(pair)) == [
+            (0, 1, [((0, 1), Fraction(4))])
+        ]
+        monkeypatch.setattr(gaudin, "commutator_width", lambda ops: 3)
+        with pytest.raises(ArithmeticError):
+            list(gaudin.packed_commutators(pair))
+
+
+def closing_reference(N, points, m_max):
+    """``suites.task_closing_series`` built pair by pair."""
+    rep = gaudin.GaudinRep(N, [rational(p) for p in points])
+    closing = gaudin.closing_series(rep)
+    ops = [
+        (loc, gaudin.cleared(op))
+        for loc, op in gaudin.partial_fraction_data(closing, list(rep.points))
+    ]
+    family = [
+        (member.label(), gaudin.cleared(member.op))
+        for member in gaudin.extract_family(rep, m_max)
+    ]
+    bad = []
+    for loc, op in ops:
+        for label, member in family:
+            if gaudin.commutator_entries(op, member):
+                bad.append({"closing": list(map(str, loc)), "member": label})
+    for x, (la, a) in enumerate(ops):
+        for lb, b in ops[x + 1 :]:
+            if gaudin.commutator_entries(a, b):
+                bad.append({"pair": [list(map(str, la)), list(map(str, lb))]})
+    return not bad, bad or None
+
+
+class TestClosingSeries:
+    def test_passes(self):
+        assert suites.task_closing_series(2, ("1", "3"), 2) == (True, None)
+
+    def test_failures_keep_their_order(self, monkeypatch):
+        # every partial-fraction split, the closing series' and the
+        # family's, gains two operators that commute with neither
+        split = gaudin.partial_fraction_data
+
+        def with_foreign(tensor, poles):
+            space = tensor.space
+            diag = {(i, i): Fraction(i + 1, 3) for i in range(space.dim)}
+            flip = {(0, 1): Fraction(1), (1, 0): Fraction(-2, 5)}
+            return split(tensor, poles) + [
+                (("poly", 98), AuxTensor(space, QQ, diag)),
+                (("poly", 99), AuxTensor(space, QQ, flip)),
+            ]
+
+        monkeypatch.setattr(gaudin, "partial_fraction_data", with_foreign)
+        ok, bad = suites.task_closing_series(2, ("1", "3"), 2)
+        assert not ok
+        assert (ok, bad) == closing_reference(2, ("1", "3"), 2)
+        assert any("pair" in b for b in bad) and any("member" in b for b in bad)
