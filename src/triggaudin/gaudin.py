@@ -16,7 +16,11 @@ is done with it, and each coupling of t_a to t_(a+1) is a weighted flip,
 whose trace against t_a only renames and reweights
 (:meth:`~triggaudin.tensor.AuxTensor.flip_trace`), so no operator ever
 lives on more than one auxiliary leg and the working space has
-dimension N^(1+l) for l sites, not N^(m+l).  Both live on
+dimension N^(1+l) for l sites, not N^(m+l).  The product that ends
+each route, tr(X L), is summed as it is formed
+(:meth:`~triggaudin.weyl.OperatorPolynomial.product_trace`): only the
+pairs of entries that agree on the auxiliary leg are multiplied, about
+1/N of those of X L.  Both live on
 :class:`ThetaContext`, which is built from the current alone, one tensor
 with the auxiliary leg first and the quantum legs after it, over any
 coefficient ring whose generator is u.  So the symbolic mode-algebra
@@ -121,7 +125,7 @@ def current_entry(current, i, j):
     e_ji = single_leg_matrix(
         current.space.N, current.ring, lambda a, b: one if (a, b) == (j, i) else None
     )
-    return (e_ji.place(current.space, aux) * current).partial_trace([aux])
+    return e_ji.place(current.space, aux).product_trace(current, [aux])
 
 
 class ThetaContext:
@@ -145,7 +149,11 @@ class ThetaContext:
 
     The context keeps the chain X_1 L, X_2 L, ... of :meth:`theta_mbar`
     for each ``shifted`` value, so theta_1, ..., theta_m taken together
-    cost one recursion to depth m, in whatever order they are asked for.
+    cost one recursion to depth m.  Asking for the highest order first
+    is the cheap order: theta_m forms X_1 L, ..., X_(m-1) L whole and
+    sums X_m L as it forms it, and every lower order is then read off
+    the chain.  Asking in rising order forms each X_a L whole as well,
+    once a higher order needs it.
     """
 
     def __init__(self, current):
@@ -179,24 +187,27 @@ class ThetaContext:
         = X_a L + flip_Tc(X_a) (P has weight one on every block),
         theta_m = tr(X_m L).  X_a does not depend on m, and X_a L serves
         both theta_a and X_{a+1}, so the chain X_1 L, X_2 L, ... and the
-        last X are kept per ``shifted`` and extended only as far as m:
+        next X are kept per ``shifted`` and extended only as far as m - 1:
         theta_1, ..., theta_m on one context run the recursion once.
+        theta_m itself is tr(X_m L) summed as it is formed, unless X_m L
+        is already in the chain.
         """
         if m < 1:
             raise ValueError("m must be >= 1")
         shifted = bool(shifted)
         X, xls = self._chains.get(shifted, (None, []))
-        if len(xls) < m:
-            L = self._script_l(shifted)
-            Tc = tc(self.N, self.ring)
-            while len(xls) < m:
-                if X is None:
-                    X = DiffOp.identity(self.current.space, self.ring)
-                else:
-                    X = xls[-1] + X.flip_trace(Tc)
-                xls.append(X * L)
-            self._chains[shifted] = (X, xls)
-        return xls[m - 1].partial_trace([self._aux])
+        if m <= len(xls):
+            return xls[m - 1].partial_trace([self._aux])
+        if X is None:
+            X = DiffOp.identity(self.current.space, self.ring)
+        L = self._script_l(shifted)
+        Tc = tc(self.N, self.ring)
+        while len(xls) < m - 1:
+            xl = X * L
+            xls.append(xl)
+            X = xl + X.flip_trace(Tc)
+        self._chains[shifted] = (X, xls)
+        return X.product_trace(L, [self._aux])
 
     def theta_generating(self, m, shifted=False):
         """theta_m as the y^m coefficient of the generating function.
@@ -207,7 +218,8 @@ class ThetaContext:
         depend on s, so one pass serves every term: Z_a is kept as
         {y-degree: operator} up to degree m - a, and the s-leg term
         contributes tr_s(Z_s L_s) at y^(m-s) (Z_1 = 1 has degree 0 only,
-        so the one-leg term counts for m = 1).
+        so the one-leg term counts for m = 1).  That component is summed
+        as it is formed, and only the others are formed whole.
         """
         if m < 1:
             raise ValueError("m must be >= 1")
@@ -216,9 +228,9 @@ class ThetaContext:
         Z = {0: DiffOp.identity(self.current.space, self.ring)}
         total = DiffOp.zero(self.current.space.drop([self._aux]), self.ring)
         for s in range(1, m + 1):
+            if m - s in Z:
+                total = total + Z.pop(m - s).product_trace(L, [self._aux])
             zl = {d: z * L for d, z in Z.items()}
-            if m - s in zl:
-                total = total + zl.pop(m - s).partial_trace([self._aux])
             Z = {}
             for d, z in zl.items():
                 for k in range(m - s - d):
@@ -279,7 +291,7 @@ def explicit_theta(rep, m):
         )
     if m == 2:
         trLp = trL.map_entries(lambda f: f.derivative())
-        trL2 = (L * L).partial_trace(["z0"])
+        trL2 = L.product_trace(L, ["z0"])
         four_u = F.from_int(4) * u
         return DiffOp(
             qspace,
@@ -293,7 +305,7 @@ def explicit_theta(rep, m):
     # m == 3: cube of the one-leg matrix differential operator, traced,
     # plus the signed quadratic tail.
     script = ThetaContext(L).script_l(L.space, "z0", False)
-    cube = (script * script * script).partial_trace(["z0"])
+    cube = (script * script).product_trace(script, ["z0"])
     return cube + DiffOp(qspace, F, {0: signed_tail(L)})
 
 
@@ -303,8 +315,8 @@ def closing_series(rep):
     Lp = L.map_entries(lambda f: f.derivative())
     two_u = Qu.from_int(2) * Qu.gen
     return (
-        (L * L * L).partial_trace(["z0"])
-        - (L * Lp).partial_trace(["z0"]).scale(two_u)
+        (L * L).product_trace(L, ["z0"])
+        - L.product_trace(Lp, ["z0"]).scale(two_u)
         - signed_tail(L)
     )
 
@@ -373,9 +385,11 @@ def extract_family(rep, m_max, shifted=False):
         raise ValueError("m_max must be >= 1")
     ctx = rep_context(rep)
     poles = list(rep.points)
+    # the highest order first: its chain serves every lower one
+    top = ctx.theta_mbar(m_max, shifted)
     family = []
     for m in range(1, m_max + 1):
-        theta = ctx.theta_mbar(m, shifted)
+        theta = top if m == m_max else ctx.theta_mbar(m, shifted)
         for k in sorted(theta.coeffs):
             for location, op in partial_fraction_data(theta.coeffs[k], poles):
                 family.append(FamilyMember(m, k, location, op))
@@ -508,7 +522,7 @@ def quad_residue_check(rep):
     """
     F = Qu
     L = represent_current(rep)
-    trL2 = (L * L).partial_trace(["z0"])
+    trL2 = L.product_trace(L, ["z0"])
     qspace = rep.space()
     sites = rep.site_names()
     records = []

@@ -12,6 +12,13 @@ running sum of products.  Only :class:`~triggaudin.laurent.Laurent`
 has one, so the q-side's Laurent tensors reduce once per output entry;
 ``Fraction``, int, ``PoleFun``, series and PBW entries take the
 pairwise loop.
+
+:func:`sparse_matmul_trace` sums a product over some legs without
+forming it: it reindexes both factors so that :func:`sparse_matmul`
+pairs only the entries that survive the trace and adds them straight
+into the kept index, so summing k legs of size N multiplies about
+1/N^k of the pairs of the full product, and the ``dot`` hook sums each
+kept entry at once.
 """
 
 
@@ -59,6 +66,28 @@ def sparse_matmul(a, b):
             else:
                 out[key] = p
     return {k: v for k, v in out.items() if v}
+
+
+def sparse_matmul_trace(a, b, traced, kept):
+    """The product of ``a`` and ``b`` summed over some legs, without forming it.
+
+    ``traced`` and ``kept`` map each flat index to its digits on the
+    summed legs, packed into one int, and to its index on the other legs
+    (the tables of ``tensor._trace_split``).  Entry (r, c2) of the
+    product survives the trace only when traced[r] == traced[c2], and it
+    is added to entry (kept[r], kept[c2]).  So the entry (r, c) of ``a``
+    is stored at (kept[r], (traced[r], c)) and the entry (c, c2) of
+    ``b`` at ((traced[c2], c), kept[c2]), each (traced, c) packed into
+    one int: in :func:`sparse_matmul` two entries meet exactly when
+    their pair survives, and their product lands on the kept index.
+    Neither reindexing merges entries, since an index is fixed by its
+    traced digits and its kept index.
+    """
+    n = len(traced)
+    return sparse_matmul(
+        {(kept[r], traced[r] * n + c): v for (r, c), v in a.items()},
+        {(traced[c] * n + r, kept[c]): w for (r, c), w in b.items()},
+    )
 
 
 def sparse_add(a, b):

@@ -10,23 +10,26 @@ The builders (:func:`single_leg_matrix`, :func:`two_leg_tensor`) build
 on the fixed auxiliary legs a1 and a1, a2 of :func:`aux_space`;
 :meth:`AuxTensor.place` alone moves a tensor onto other legs.
 :func:`chain` multiplies tensors on legs of a space and sums each
-traced leg right after its last factor, so a product over many
-auxiliary legs never holds all of them at once.
+traced leg in the product with its last factor, so a product over many
+auxiliary legs never holds all of them at once, and the product that
+ends a leg is never formed whole.
 
 Only this module packs flat indices.  ``embed`` and ``partial_trace``
 do not unpack them entry by entry: ``embed`` adds one precomputed
 offset per source index and one per combination of the free legs, and
 ``partial_trace`` reads the traced digits and the kept index of a flat
 index from two tables, cached per (N, number of legs, traced
-positions).  ``flip_trace`` contracts a weighted flip with a tensor
-without forming their product: it reads each entry's block on the first
-leg by two integer divisions and scales the entry by that block's
-weight.
+positions).  ``product_trace`` hands the same two tables to
+:func:`~triggaudin.kernels.sparse_matmul_trace`, which multiplies only
+the pairs of entries that agree on the traced digits.  ``flip_trace``
+contracts a weighted flip with a tensor without forming their product:
+it reads each entry's block on the first leg by two integer divisions
+and scales the entry by that block's weight.
 """
 
 from functools import lru_cache
 
-from .kernels import sparse_add, sparse_matmul
+from .kernels import sparse_add, sparse_matmul, sparse_matmul_trace
 
 
 class Leg:
@@ -181,6 +184,19 @@ class AuxTensor:
             self.space, self.ring, sparse_matmul(self.entries, other.entries)
         )
 
+    def product_trace(self, other, names):
+        """``(self * other).partial_trace(names)``, without forming the
+        product: only the pairs of entries that agree on the named legs
+        are multiplied, and each is added straight into the traced
+        result (:func:`~triggaudin.kernels.sparse_matmul_trace`)."""
+        self._check(other)
+        space, traced, kept = self._trace_tables(names)
+        return AuxTensor(
+            space,
+            self.ring,
+            sparse_matmul_trace(self.entries, other.entries, traced, kept),
+        )
+
     def commutator(self, other):
         return self * other - other * self
 
@@ -247,18 +263,7 @@ class AuxTensor:
         Tracing a quantum leg is refused: quantum legs carry the
         physical space and are never summed over.
         """
-        names = set(names)
-        for leg in self.space.legs:
-            if leg.name in names and leg.quantum:
-                raise ValueError("cannot trace quantum leg %r" % leg.name)
-        positions = [
-            i for i, leg in enumerate(self.space.legs) if leg.name in names
-        ]
-        if len(positions) != len(names):
-            missing = names - set(self.space.leg_names())
-            raise ValueError("unknown legs in partial_trace: %r" % missing)
-        new_space = self.space.drop(names)
-        traced, kept = _trace_split(self.space.N, self.space.nlegs, tuple(positions))
+        new_space, traced, kept = self._trace_tables(names)
         out = {}
         for (r, c), v in self.entries.items():
             if traced[r] != traced[c]:
@@ -273,6 +278,23 @@ class AuxTensor:
             else:
                 out[key] = v
         return AuxTensor(new_space, self.ring, out)
+
+    def _trace_tables(self, names):
+        """The space left when the named legs are traced, and the two
+        tables of :func:`_trace_split` for them; quantum and unknown legs
+        are refused."""
+        names = set(names)
+        for leg in self.space.legs:
+            if leg.name in names and leg.quantum:
+                raise ValueError("cannot trace quantum leg %r" % leg.name)
+        positions = [
+            i for i, leg in enumerate(self.space.legs) if leg.name in names
+        ]
+        if len(positions) != len(names):
+            missing = names - set(self.space.leg_names())
+            raise ValueError("unknown legs in partial_trace: %r" % missing)
+        traced, kept = _trace_split(self.space.N, self.space.nlegs, tuple(positions))
+        return self.space.drop(names), traced, kept
 
     def flip_trace(self, flip):
         """tr_a(T_ab Y_a) for a weighted flip T and this tensor Y.
@@ -335,11 +357,12 @@ def chain(space, ring, factors, traced=()):
     to right in the order given.  The running product starts from the
     first factor and holds only the legs that some factor has reached and
     that are not summed yet; a leg joins (as the identity) when a factor
-    first reaches it.  A leg in ``traced`` is summed right after its last
-    factor, since tr_a(A X B) = A tr_a(X) B when B does not act on leg a,
-    and a traced leg that no factor touches contributes a factor N.  The
-    result lives on ``space.drop(traced)``; no factors and nothing traced
-    give the identity.
+    first reaches it.  A leg in ``traced`` is summed by the product with
+    its last factor (:meth:`AuxTensor.product_trace`), since
+    tr_a(A X B) = A tr_a(X) B when B does not act on leg a, and a traced
+    leg that no factor touches contributes a factor N.  The result lives
+    on ``space.drop(traced)``; no factors and nothing traced give the
+    identity.
     """
     traced = set(traced)
     legs_by_name = {leg.name: leg for leg in space.legs}
@@ -349,16 +372,17 @@ def chain(space, ring, factors, traced=()):
     last = {nm: i for i, (_, *legs) in enumerate(factors) for nm in legs}
     out = None
     for i, (t, *legs) in enumerate(factors):
+        done = [nm for nm in legs if nm in traced and last[nm] == i]
         if out is None:
             out = t.place(_sub_space(space, legs), *legs)
-        else:
-            if not out.space._pos.keys() >= set(legs):
-                grown = _sub_space(space, set(legs).union(out.space._pos))
-                out = out.place(grown, *out.space.leg_names())
-            out = out * t.place(out.space, *legs)
-        done = [nm for nm in legs if nm in traced and last[nm] == i]
-        if done:
-            out = out.partial_trace(done)
+            if done:
+                out = out.partial_trace(done)
+            continue
+        if not out.space._pos.keys() >= set(legs):
+            grown = _sub_space(space, set(legs).union(out.space._pos))
+            out = out.place(grown, *out.space.leg_names())
+        t = t.place(out.space, *legs)
+        out = out.product_trace(t, done) if done else out * t
     target = space.drop(traced)
     if out is None:
         out = AuxTensor.identity(target, ring)

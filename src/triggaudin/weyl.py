@@ -3,11 +3,14 @@
 Both are polynomials in one operator with coefficients that are sparse
 tensors whose entries depend on u, coefficients standing to the left.
 They share everything but the commutation rule, which each subclass
-gives as its ``__mul__``: :class:`DiffOp` is a polynomial in d/du with
+gives as its product loop: :class:`DiffOp` is a polynomial in d/du with
 the Weyl rule d/du . g(u) = g(u) . d/du + g'(u); :class:`QDiffOp` is a
 polynomial in the shift delta with the substitution rule
-delta . g(u) = g(u/q^2) . delta.  The two never mix: the classical and
-q regimes are separate types on purpose.
+delta . g(u) = g(u/q^2) . delta.  One loop serves both ``A * B`` and
+``A.product_trace(B, names)``, which sums each coefficient product over
+the named legs as it forms it (:meth:`AuxTensor.product_trace`), so a
+traced product is never formed whole.  The two never mix: the classical
+and q regimes are separate types on purpose.
 """
 
 from math import comb
@@ -106,6 +109,13 @@ class OperatorPolynomial:
             {k: t.place(target, *legs) for k, t in self.coeffs.items()}, target
         )
 
+    def product_trace(self, other, names):
+        """``(self * other).partial_trace(names)`` by the product loop of
+        ``__mul__``, each coefficient product summed over the named legs."""
+        return self._product(
+            other, lambda a, b: a.product_trace(b, names), self.space.drop(names)
+        )
+
     def partial_trace(self, names):
         out = {k: t.partial_trace(names) for k, t in self.coeffs.items()}
         space = next(iter(out.values())).space if out else self.space.drop(names)
@@ -122,18 +132,24 @@ class DiffOp(OperatorPolynomial):
 
     def __mul__(self, other):
         """Weyl-type product: d^j g = sum_i C(j,i) g^(i) d^(j-i)."""
+        return self._product(other, AuxTensor.__mul__, self.space)
+
+    def _product(self, other, mul, space):
+        """The Weyl product with each coefficient product taken by ``mul``,
+        its result on ``space``; each coefficient of ``other`` is derived
+        once per derivative order."""
         self._check(other)
         out = {}
         max_j = self.degree()
         if max_j is None or other.is_zero():
-            return DiffOp.zero(self.space, self.ring)
+            return DiffOp.zero(space, self.ring)
         for k, bk in other.coeffs.items():
             ders = [bk]  # bk, bk', ..., bk^(max_j) entrywise
             for _ in range(max_j):
                 ders.append(ders[-1].map_entries(lambda e: e.derivative()))
             for j, aj in self.coeffs.items():
                 for i in range(j + 1):
-                    term = aj * ders[i]
+                    term = mul(aj, ders[i])
                     if term.is_zero():
                         continue
                     c = comb(j, i)
@@ -141,7 +157,7 @@ class DiffOp(OperatorPolynomial):
                         term = term.scale(self.ring.from_int(c))
                     deg = j - i + k
                     out[deg] = out[deg] + term if deg in out else term
-        return DiffOp(self.space, self.ring, out)
+        return DiffOp(space, self.ring, out)
 
 
 class QDiffOp(OperatorPolynomial):
@@ -170,13 +186,18 @@ class QDiffOp(OperatorPolynomial):
 
     def __mul__(self, other):
         """Product with delta g(u) = g(shift * u) delta."""
+        return self._product(other, AuxTensor.__mul__, self.space)
+
+    def _product(self, other, mul, space):
+        """The shift product with each coefficient product taken by
+        ``mul``, its result on ``space``."""
         self._check(other)
         out = {}
         for j, aj in self.coeffs.items():
             for k, bk in other.coeffs.items():
-                term = aj * self._shifted(bk, j)
+                term = mul(aj, self._shifted(bk, j))
                 if term.is_zero():
                     continue
                 deg = j + k
                 out[deg] = out[deg] + term if deg in out else term
-        return QDiffOp(self.space, self.ring, out, self.shift)
+        return QDiffOp(space, self.ring, out, self.shift)

@@ -5,10 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from triggaudin.kernels import sparse_matmul_trace
 from triggaudin.rationals import QQ, rational
 from triggaudin.rmatrices import r_classical, tc
 from triggaudin.tensor import AuxTensor, aux_space, single_leg_matrix
+from triggaudin.weyl import DiffOp
 from triggaudin import gaudin, suites
+from triggaudin import tensor as tensor_module
 
 import full_space_routes
 
@@ -187,6 +190,57 @@ class TestContractedRoutes:
         ctx = gaudin.rep_context(rep)
         assert ctx.theta_mbar(4, shifted) == ctx.theta_generating(4, shifted)
         assert max(dims) == 3 ** (1 + rep.l)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_highest_order_forms_m_minus_1_products(self, m, monkeypatch):
+        # structural guard: theta_m forms X_a L whole only for a < m and
+        # sums X_m L as it forms it; the family asks for m_max first, so
+        # the lower orders are read off the chain it leaves.  Neither
+        # route forms whole a product that it sums.
+        products, traced = [], []
+        mul, product_trace = DiffOp.__mul__, DiffOp.product_trace
+
+        def counting_mul(self, other):
+            products.append(self)
+            return mul(self, other)
+
+        def counting_trace(self, other, names):
+            traced.append(self)
+            return product_trace(self, other, names)
+
+        monkeypatch.setattr(DiffOp, "__mul__", counting_mul)
+        monkeypatch.setattr(DiffOp, "product_trace", counting_trace)
+        rep = gaudin.GaudinRep(2, [rational(1), rational(3)])
+        theta = gaudin.rep_context(rep).theta_mbar(m)
+        assert (len(products), len(traced)) == (m - 1, 1)
+        assert theta == full_space_routes.theta_mbar(gaudin.rep_context(rep), m, False)
+        products.clear()
+        traced.clear()
+        gaudin.extract_family(rep, m)
+        assert (len(products), len(traced)) == (m - 1, 1)
+        products.clear()
+        traced.clear()
+        gaudin.rep_context(rep).theta_generating(m)
+        assert traced and not {id(x) for x in traced} & {id(x) for x in products}
+
+    def test_swapped_trace_tables_fail(self, monkeypatch):
+        # negative control: the traced product handed the kept table as
+        # the traced one.  Both routes end in that product, and their
+        # operators agree before it, so comparing the routes cannot see
+        # it; the full-space reference and the closed form do
+        monkeypatch.setattr(
+            tensor_module,
+            "sparse_matmul_trace",
+            lambda a, b, traced, kept: sparse_matmul_trace(a, b, kept, traced),
+        )
+        rep = gaudin.GaudinRep(2, [rational(1), rational(3)])
+        ctx = gaudin.rep_context(rep)
+        assert ctx.theta_mbar(3) != full_space_routes.theta_mbar(ctx, 3, False)
+        want = full_space_routes.theta_generating(ctx, 3, False)
+        assert ctx.theta_generating(3) != want
+        args = {"N": 2, "points": ("1", "3"), "m": 3}
+        (rec,) = suites.run_tasks([("explicit", "claim", "task_theta_explicit", args)])
+        assert rec["status"] == "fail"
 
     def test_wrong_tc_fails_with_witness(self, monkeypatch):
         # negative control: -Tc in the recursion only (the generating

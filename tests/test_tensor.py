@@ -1,13 +1,14 @@
 """Sparse tensor operators: embedding, products, traces, kernels."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import Phase, find, given, settings, strategies as st
 
 from triggaudin import gaudin, qside
 from triggaudin import tensor as tensor_module
-from triggaudin.kernels import sparse_add
+from triggaudin.kernels import sparse_add, sparse_matmul_trace
 from triggaudin.rationals import QQ, rational
 from triggaudin.rmatrices import (
     permutation,
@@ -27,7 +28,7 @@ from triggaudin.tensor import (
     single_leg_matrix,
     two_leg_tensor,
 )
-from triggaudin.weyl import DiffOp
+from triggaudin.weyl import DiffOp, QDiffOp
 
 import tensor_reference
 
@@ -412,3 +413,178 @@ class TestFlipTrace:
             Y.flip_trace(e_matrix(2, 1, 2))
         with pytest.raises(ValueError):
             Y.flip_trace(_flips(3, QQ, Fraction(2))["P"])
+
+
+# -- traced products against the product, then partial_trace -----------
+
+PRODUCT_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+OPERATOR_SETTINGS = settings(max_examples=15, deadline=None, derandomize=True)
+
+# ints need no ring descriptor: neither side of the comparison reads it
+PRODUCT_RINGS = [
+    pytest.param(None, small_ints.filter(bool), id="int"),
+    *[pytest.param(p.values[0], p.values[2], id=p.id) for p in FLIP_RINGS],
+]
+
+
+@st.composite
+def product_cases(draw, ring, entries):
+    """(x, y, traced): two tensors over ``ring`` on one space of 1-4 legs
+    (N = 2) or 1-3 legs (N = 3), either of them possibly empty, and one
+    or two auxiliary legs to trace, at any positions."""
+    N = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(min_value=1, max_value=4 if N == 2 else 3))
+    k = draw(st.integers(min_value=1, max_value=min(2, n)))
+    traced = set(draw(st.permutations(range(n)))[:k])
+    quantum = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    space = Space(N, [
+        aux_leg("x%d" % i) if i in traced or not quantum[i] else quantum_leg("q%d" % i)
+        for i in range(n)
+    ])
+    index = st.integers(min_value=0, max_value=space.dim - 1)
+    tensors = st.dictionaries(st.tuples(index, index), entries, max_size=10)
+    x, y = (AuxTensor(space, ring, draw(tensors)) for _ in range(2))
+    return x, y, ["x%d" % i for i in sorted(traced)]
+
+
+def product_then_trace(x, y, names):
+    return (x * y).partial_trace(names)
+
+
+def unfused_chain(space, ring, factors, traced):
+    """:func:`chain` with each traced leg summed after the product with its
+    last factor is formed whole."""
+    with mock.patch.object(AuxTensor, "product_trace", product_then_trace):
+        return chain(space, ring, factors, traced)
+
+
+def _operator_rings():
+    """(operator type, ring, extra parameters, entries): DiffOp over the pole
+    ring Q(u), QDiffOp over the Laurent ring Q[q^+-1, u^+-1]."""
+    Qu, QU = gaudin.Qu, qside.QU
+    (_, _, pole), (_, _, laurent) = (p.values for p in FLIP_RINGS[1:])
+    return [
+        pytest.param(DiffOp, Qu, (), pole, id="DiffOp"),
+        pytest.param(QDiffOp, QU, (QU.gens[0] ** -2,), laurent, id="QDiffOp"),
+    ]
+
+
+@st.composite
+def operator_cases(draw, kind, ring, params, entries):
+    """Two operators of degree 2 or 3 on (t, one site), N = 2."""
+    space = _flip_space(2, 1)
+    index = st.integers(min_value=0, max_value=space.dim - 1)
+    tensors = st.dictionaries(st.tuples(index, index), entries, min_size=1, max_size=5)
+
+    def op():
+        degrees = range(draw(st.integers(min_value=3, max_value=4)))
+        coeffs = {d: AuxTensor(space, ring, draw(tensors)) for d in degrees}
+        return kind(space, ring, coeffs, *params)
+
+    return op(), op()
+
+
+class TestProductTrace:
+    @PRODUCT_SETTINGS
+    @pytest.mark.parametrize("ring, entries", PRODUCT_RINGS)
+    @given(data=st.data())
+    def test_matches_product_then_trace(self, ring, entries, data):
+        x, y, names = data.draw(product_cases(ring, entries))
+        got = x.product_trace(y, names)
+        want = product_then_trace(x, y, names)
+        assert got.space == want.space
+        assert got.entries == want.entries
+
+    def test_laurent_entries_go_through_dot(self):
+        # the q-side ring is the one that takes the kernel's dot hook
+        assert callable(getattr(type(qside.QU.one), "dot", None))
+
+    @pytest.mark.parametrize("ring, entries", PRODUCT_RINGS)
+    def test_sums_that_cancel_are_dropped(self, ring, entries):
+        # diag(v, -v) on the traced leg: the product has two entries, the
+        # trace none; on the kept leg, two pairs of one entry cancel
+        one = 1 if ring is None else ring.one
+        space = Space(2, [aux_leg("a"), quantum_leg("s")])
+        ident = AuxTensor(space, ring, {(i, i): one for i in range(4)})
+        y = AuxTensor(space, ring, {(0, 0): one, (2, 2): -one})
+        assert (ident * y).entries
+        assert ident.product_trace(y, ["a"]).entries == {}
+        x = AuxTensor(space, ring, {(0, 0): one, (0, 1): one})
+        y = AuxTensor(space, ring, {(0, 0): one, (1, 0): -one})
+        assert x.product_trace(y, ["a"]).entries == {}
+
+    def test_empty_operands(self):
+        space = aux_space(2, 2)
+        x = AuxTensor.identity(space, QQ)
+        zero = AuxTensor.zero(space, QQ)
+        for a, b in ((x, zero), (zero, x), (zero, zero)):
+            got = a.product_trace(b, ["a2"])
+            assert got.space == space.drop(["a2"]) and got.is_zero()
+
+    def test_quantum_and_unknown_legs_refused(self):
+        space = Space(2, [aux_leg("a"), quantum_leg("s")])
+        x = AuxTensor.identity(space, QQ)
+        with pytest.raises(ValueError):
+            x.product_trace(x, ["s"])
+        with pytest.raises(ValueError):
+            x.product_trace(x, ["b"])
+
+    @OPERATOR_SETTINGS
+    @pytest.mark.parametrize("kind, ring, params, entries", _operator_rings())
+    @given(data=st.data())
+    def test_operators_match_product_then_trace(self, kind, ring, params, entries, data):
+        x, y = data.draw(operator_cases(kind, ring, params, entries))
+        got = x.product_trace(y, ["t"])
+        assert got == (x * y).partial_trace(["t"])
+        assert got.space == x.space.drop(["t"])
+
+    def test_diffop_derives_once_per_product(self, monkeypatch):
+        # both products derive each entry of each coefficient of the
+        # right factor once per derivative order up to the left degree;
+        # no derivative of these entries vanishes
+        Qu = gaudin.Qu
+        u = Qu.gen
+        Y = _full_tensor(
+            2, Qu, lambda r, c: Qu.from_int(r + c + 1) / (u - Qu.from_int(r + 2))
+        )
+        x = DiffOp(Y.space, Qu, {0: Y, 1: Y.scale(u), 2: Y})
+        y = DiffOp(Y.space, Qu, {0: Y.scale(u), 2: Y})
+        calls = []
+        derivative = type(u).derivative
+
+        def counting(f):
+            calls.append(f)
+            return derivative(f)
+
+        monkeypatch.setattr(type(u), "derivative", counting)
+        once = len(y.coeffs) * x.degree() * len(Y.entries)
+        x * y
+        assert len(calls) == once
+        calls.clear()
+        x.product_trace(y, ["t"])
+        assert len(calls) == once
+
+    @SETTINGS
+    @given(chain_cases())
+    def test_chain_matches_unfused_chain(self, case):
+        space, factors, traced = case
+        got = chain(space, QQ, factors, traced)
+        assert got == unfused_chain(space, QQ, factors, traced)
+
+    def test_swapped_tables_fail(self, monkeypatch):
+        # negative control: the kernel handed the kept table as the traced
+        # one sums over the wrong legs, and the drawn cases catch it
+        monkeypatch.setattr(
+            tensor_module,
+            "sparse_matmul_trace",
+            lambda a, b, traced, kept: sparse_matmul_trace(a, b, kept, traced),
+        )
+        x, y, names = find(
+            product_cases(None, small_ints.filter(bool)),
+            lambda case: (
+                case[0].product_trace(case[1], case[2]).entries
+                != product_then_trace(*case).entries
+            ),
+            settings=settings(PRODUCT_SETTINGS, phases=[Phase.generate]),
+        )
+        assert x and y
