@@ -32,9 +32,10 @@ over Q: the normalizer's denominators q^(2Nk) - 1 = eps * unit divide
 out exactly there.
 
 Nothing is built twice for one site set: the cleared currents and the
-traced fused elements are kept in bounded caches, ``mcal`` extends its
-chain X_1, X_2, ... and ``mcal_collapsed`` reads its terms from a
-:class:`NewtonChain`, both kept per site set and twist, and the
+antisymmetrized elements are kept in bounded caches, ``mcal`` extends
+its chain X_1, X_2, ... per site set and twist, the Newton elements of
+``bethe`` and the terms of ``mcal_collapsed`` are the terms of one
+:class:`NewtonChain` per site set, twist, ring, q and u, and the
 classical recursion's context is kept per site set, so the product
 oracle and the classical limit at one site set build each term once.
 
@@ -157,14 +158,14 @@ def bethe(rep, kind, k, with_D=False, ring=QU, q=None, u=None):
     result is prod_{j<k} den(u q^{-2j}) times the traced product of the
     true currents.
 
-    The product is one :func:`~triggaudin.tensor.chain` that sums leg b_a
-    right after its last factor: the projector, then L_a on (b_a, sites)
-    for a = 1, ..., k, each followed by D_a when twisted.  D_a acts on b_a
-    alone, so it commutes with every later L and moving it next to L_a is
-    exact; leg b_a is summed as soon as L_a (and D_a) are applied.  The
-    element is kept per (N, points, kind, k, with_D, ring, q, u) in a
-    bounded cache, so the commuting pairs of one family build each
-    element once.
+    A "newton" element is term k of the :class:`NewtonChain` of
+    :func:`newton_chain`.  An "antisym" element is one
+    :func:`~triggaudin.tensor.chain` that sums leg b_a right after its
+    last factor: the projector, then L_a on (b_a, sites) for a = 1, ...,
+    k, each followed by D_a when twisted (D_a acts on b_a alone, so it
+    commutes with every later L).  Both are kept per (N, points, with_D,
+    ring, q, u), the "antisym" element per k as well, so the commuting
+    pairs of one family build each element once.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -172,19 +173,18 @@ def bethe(rep, kind, k, with_D=False, ring=QU, q=None, u=None):
         raise ValueError("unknown kind %r" % kind)
     if kind == "antisym" and k > rep.N:
         raise ValueError("antisymmetrizer is computed only for k <= N")
-    return _bethe(rep.N, rep.points, kind, k, with_D, ring, *_gens(ring, q, u))
+    q, u = _gens(ring, q, u)
+    if kind == "newton":
+        return newton_chain(rep.N, rep.points, bool(with_D), ring, q, u).term(k)
+    return _bethe(rep.N, rep.points, k, bool(with_D), ring, q, u)
 
 
 @lru_cache(maxsize=32)
-def _bethe(N, points, kind, k, with_D, ring, q, u):
+def _bethe(N, points, k, with_D, ring, q, u):
     rep = QRep(N, points)
     bnames = ["b%d" % a for a in range(1, k + 1)]
     sites = rep.site_names()
-    if kind == "antisym":
-        factors = [(antisymmetrizer(k, N, ring, q), *bnames)]
-    else:
-        pq = q_permutation(N, ring, q)
-        factors = [(pq, bnames[a - 1], bnames[a]) for a in range(k - 1, 0, -1)]
+    factors = [(antisymmetrizer(k, N, ring, q), *bnames)]
     D = diag_shift_d(N, ring, q) if with_D else None
     for a, nm in enumerate(bnames, start=1):
         factors.append((qrep_current(rep, ring, q, u * q ** (2 - 2 * a)), nm, *sites))
@@ -273,53 +273,52 @@ def _mcal_chain(N, points, with_D):
 
 
 class NewtonChain:
-    """The terms tr(W_1), tr(W_2), ... of :func:`mcal_collapsed` from one chain.
+    """The Newton elements ``bethe(rep, "newton", k, ...)``, k = 1, 2, ...
 
-    W_1 = L_1 [D_1] and W_k = tr_(k-1)(P^q_(k-1,k) W_(k-1) L_k [D_k]),
-    with L_k the cleared current at u q^(2-2k), as in :func:`bethe`.
-    P^q_(k-1,k) and L_k act on none of the legs 1..k-2, so tr(W_k) is
-    exactly ``bethe(rep, "newton", k, with_D)``; W_k lives on (b_k,
-    sites) and each step works in (b_(k-1), b_k, sites), of dimension
-    N^(2+l).  The chain keeps its terms and only the last W, and extends
-    them on demand.
+    With L_k the cleared current at u q^(2-2k) [times D_k]: V_1 = 1,
+    term k = tr(V_k L_k) and V_(k+1) = tr_k(P^q_(k,k+1) V_k L_k), exact
+    because L_(k+1) does not act on leg k.  P^q is a weighted flip, so
+    V_(k+1) = (V_k L_k).flip_trace(P^q) only reindexes
+    (:meth:`~triggaudin.tensor.AuxTensor.flip_trace`), and every step
+    works on the current's own legs (z0, sites), of dimension N^(1+l).
+    Term k is summed as it is formed (``product_trace``); V_k L_k is
+    formed whole only when term k + 1 is asked for.  The chain keeps its
+    terms and the last V and L, and extends them on demand.
     """
 
-    def __init__(self, rep, with_D):
-        q = QU.gens[0]
+    def __init__(self, rep, with_D, ring=QU, q=None, u=None):
         self.rep = rep
-        self.work = rep.space(["ba", "bb"])
-        self.pq = q_permutation(rep.N, QU, q)
-        self.D = diag_shift_d(rep.N, QU, q) if with_D else None
+        self.ring = ring
+        self.q, self.u = _gens(ring, q, u)
+        self.pq = q_permutation(rep.N, ring, self.q)
+        self.D = diag_shift_d(rep.N, ring, self.q) if with_D else None
         self.terms = []
-        self.W = None
+        self.V = AuxTensor.identity(rep.current_space(), ring)
+        self.L = None
 
     def current(self, k):
         """L_k [D_k] on (z0, sites)."""
-        q, u = QU.gens
-        L = qrep_current(self.rep, QU, q, u * q ** (2 - 2 * k))
+        L = qrep_current(self.rep, self.ring, self.q, self.u * self.q ** (2 - 2 * k))
         if self.D is not None:
             L = L * self.D.place(L.space, "z0")
         return L
 
-    def step(self, W, L):
-        """W_k from W_(k-1) and L_k [D_k]: b_(k-1) is summed after W_(k-1)."""
-        sites = self.rep.site_names()
-        factors = [(self.pq, "ba", "bb"), (W, "ba", *sites), (L, "bb", *sites)]
-        return chain(self.work, QU, factors, traced=["ba"])
-
     def term(self, k):
-        """tr(W_k), as a tensor on the sites."""
+        """tr(V_k L_k [D_k]), as a tensor on the sites."""
+        if k < 1:
+            raise ValueError("k must be >= 1")
         while len(self.terms) < k:
-            L = self.current(len(self.terms) + 1)
-            self.W = L if self.W is None else self.step(self.W, L)
-            self.terms.append(self.W.partial_trace([self.W.space.legs[0].name]))
+            if self.terms:
+                self.V = (self.V * self.L).flip_trace(self.pq)
+            self.L = self.current(len(self.terms) + 1)
+            self.terms.append(self.V.product_trace(self.L, ["z0"]))
         return self.terms[k - 1]
 
 
 @lru_cache(maxsize=32)
-def newton_chain(N, points, with_D):
-    """The :class:`NewtonChain` kept for the process, per site set and twist."""
-    return NewtonChain(QRep(N, points), with_D)
+def newton_chain(N, points, with_D, ring, q, u):
+    """The :class:`NewtonChain` kept per site set, twist, ring, q and u."""
+    return NewtonChain(QRep(N, points), with_D, ring, q, u)
 
 
 def mcal_collapsed(rep, m, with_D=False):
@@ -328,15 +327,15 @@ def mcal_collapsed(rep, m, with_D=False):
     sum_k (-1)^k C(m,k) tr_{1..k} Pq-cycle L1(u)...Lk(uq^{-2k+2}) [D's]
     delta^k, from cleared currents and without the (q-1)^{-m} prefactor,
     so the delta^k coefficient is (q-1)^m prod_{j<k} den(u q^{-2j}) times
-    the true one, exactly as for :func:`mcal`.  Term k does not depend
-    on m: terms 1..m are read from the :class:`NewtonChain` kept per
-    (N, points, with_D), so every product and classical limit at one
-    site set builds each term once.
+    the true one, exactly as for :func:`mcal`.  Term k is
+    ``bethe(rep, "newton", k, with_D)``, read from the kept
+    :class:`NewtonChain`, so it is built once for every m.
     """
+    if m < 1:
+        raise ValueError("m must be >= 1")
     q = QU.gens[0]
     shift = q ** -2
     qspace = rep.space()
-    terms = newton_chain(rep.N, rep.points, with_D)
     total = QDiffOp.zero(qspace, QU, shift)
     for k in range(0, m + 1):
         if k == 0:
@@ -344,7 +343,7 @@ def mcal_collapsed(rep, m, with_D=False):
             # trace is N rather than 1
             term = AuxTensor.scalar(qspace, QU, QU.from_int(rep.N))
         else:
-            term = terms.term(k)
+            term = bethe(rep, "newton", k, with_D)
         c = QU.from_int((-1) ** k * comb(m, k))
         total = total + QDiffOp(qspace, QU, {k: term.scale(c)}, shift)
     return total

@@ -17,6 +17,7 @@ from operator import add
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import full_space_q_routes
 import laurent_reference as ref
 from test_intlaurent import REF_RINGS, RINGS, agrees, canonical
 from triggaudin import laurent, qside
@@ -24,8 +25,8 @@ from triggaudin.kernels import sparse_matmul
 from triggaudin.laurent import Laurent
 from triggaudin.qside import QU
 from triggaudin.rationals import rational
-from triggaudin.rmatrices import permutation
-from triggaudin.tensor import chain
+from triggaudin.rmatrices import permutation, q_permutation
+from triggaudin.tensor import AuxTensor
 
 SETTINGS = settings(max_examples=120, deadline=None, derandomize=True)
 
@@ -222,59 +223,140 @@ def rep_of(N, points):
     return qside.QRep(N, [Fraction(p) for p in points])
 
 
+def reference(rep, k, with_D, **ring):
+    return full_space_q_routes.bethe(rep, "newton", k, with_D, **ring)
+
+
 class TestNewtonChain:
     @pytest.mark.parametrize("with_D", [False, True])
     @pytest.mark.parametrize("N, points", CHAIN_CASES)
     def test_terms_equal_bethe(self, N, points, with_D):
+        # against the full space; the reference takes 33 s at N = 3, k = 5
         rep = rep_of(N, points)
         kept = qside.NewtonChain(rep, with_D)
-        for k in range(1, 6):
-            assert kept.term(k) == qside.bethe(rep, "newton", k, with_D)
+        k_max = 4 if (N, len(points)) == (2, 2) else 3
+        for k in range(1, k_max + 1):
+            assert kept.term(k) == reference(rep, k, with_D)
+
+    @pytest.mark.parametrize("with_D", [False, True])
+    def test_terms_over_quv_equal_the_reference(self, with_D):
+        # the ring and argument of the fused commutator checks
+        rep = rep_of(2, ("1", "3"))
+        v = qside.QUV.gens[2]
+        kept = qside.NewtonChain(rep, with_D, qside.QUV, u=v)
+        for k in range(1, 4):
+            assert kept.term(k) == reference(rep, k, with_D, ring=qside.QUV, u=v)
+
+    def test_order_below_one_is_refused(self):
+        kept = qside.NewtonChain(rep_of(2, ("1", "3")), False)
+        kept.term(2)
+        for k in (0, -1):
+            with pytest.raises(ValueError):
+                kept.term(k)
 
     def test_kept_chain_is_shared_per_site_set_and_twist(self):
         rep = rep_of(2, ("1", "3"))
-        kept = qside.newton_chain(rep.N, rep.points, False)
-        assert qside.newton_chain(2, rep_of(2, ("1", "3")).points, False) is kept
+        q, u = QU.gens
+        kept = qside.newton_chain(rep.N, rep.points, False, QU, q, u)
+        same = qside.newton_chain(2, rep_of(2, ("1", "3")).points, False, QU, q, u)
+        assert same is kept
+        qv, _, v = qside.QUV.gens
         others = [
-            qside.newton_chain(2, rep.points, True),
-            qside.newton_chain(2, rep_of(2, ("1", "4")).points, False),
-            qside.newton_chain(3, rep.points, False),
+            qside.newton_chain(2, rep.points, True, QU, q, u),
+            qside.newton_chain(2, rep_of(2, ("1", "4")).points, False, QU, q, u),
+            qside.newton_chain(3, rep.points, False, QU, q, u),
+            qside.newton_chain(2, rep.points, False, qside.QUV, qv, v),
         ]
         assert all(o is not kept for o in others)
         for other in others[:2]:
             assert other.term(2) != kept.term(2)
 
     def test_collapse_reads_the_kept_terms(self):
+        # one key per element: bethe and mcal_collapsed resolve q and u
+        # to the same chain, whose terms they share
         rep = rep_of(2, ("1/2", "-3"))
-        kept = qside.newton_chain(rep.N, rep.points, True)
+        kept = qside.newton_chain(rep.N, rep.points, True, QU, *QU.gens)
         qside.mcal_collapsed(rep, 3, True)
         assert len(kept.terms) >= 3
         before = list(kept.terms)
         qside.mcal_collapsed(rep, 2, True)
         assert all(a is b for a, b in zip(kept.terms, before))
+        for k in (1, 2, 3):
+            assert qside.bethe(rep, "newton", k, True) is before[k - 1]
+
+    @pytest.mark.parametrize("with_D", [False, True])
+    def test_one_auxiliary_leg_at_most(self, with_D, monkeypatch):
+        # structural guard: with P^q traced as a weighted flip, no step
+        # embeds a tensor into more than (one aux leg, sites)
+        dims = []
+        embed = AuxTensor.embed
+
+        def recording_embed(self, target, assignment):
+            dims.append(target.dim)
+            return embed(self, target, assignment)
+
+        monkeypatch.setattr(AuxTensor, "embed", recording_embed)
+        qside._qrep_current.cache_clear()
+        rep = rep_of(3, ("1/2", "-3"))
+        kept = qside.NewtonChain(rep, with_D)
+        for k in range(1, 5):
+            kept.term(k)
+        assert dims and max(dims) == 3 ** (1 + rep.l)
+
+    @pytest.mark.parametrize("with_D", [False, True])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_k_terms_form_k_minus_1_products(self, k, with_D, monkeypatch):
+        # structural guard: term k is summed as V_k L_k is formed, and
+        # V_k L_k is formed whole only for the next term
+        products, traced = [], []
+        mul, product_trace = AuxTensor.__mul__, AuxTensor.product_trace
+
+        def counting_mul(self, other):
+            products.append(other)
+            return mul(self, other)
+
+        def counting_trace(self, other, names):
+            traced.append(other)
+            return product_trace(self, other, names)
+
+        monkeypatch.setattr(AuxTensor, "__mul__", counting_mul)
+        monkeypatch.setattr(AuxTensor, "product_trace", counting_trace)
+        kept = qside.NewtonChain(rep_of(2, ("1", "3")), with_D)
+        kept.term(k)
+        # the currents are the right factors of the summed products; a
+        # twisted current's own product L D is not one of them
+        whole = [o for o in products if any(o is L for L in traced)]
+        assert len(traced) == k and len(whole) == k - 1
 
 
 class TestNewtonChainNegativeControl:
-    """Each broken chain gives a term that differs from ``bethe``."""
+    """Each broken chain agrees with the reference at k = 1 and differs
+    from it at k = 2."""
 
     rep = rep_of(2, ("1", "3"))
 
     def test_plain_permutation_fails(self):
         kept = qside.NewtonChain(self.rep, False)
         kept.pq = permutation(2, QU)
-        assert kept.term(2) != qside.bethe(self.rep, "newton", 2)
+        assert kept.term(2) != reference(self.rep, 2, False)
 
-    def test_leg_traced_before_the_q_permutation_fails(self):
-        class Early(qside.NewtonChain):
-            def step(self, W, L):
-                # tr_(k-1) W_(k-1) in place of W_(k-1): leg b_(k-1) summed
-                # before P^q_(k-1,k) couples it to b_k
-                T = W.partial_trace([W.space.legs[0].name])
-                sites = self.rep.site_names()
-                factors = [(self.pq, "ba", "bb"), (T, *sites), (L, "bb", *sites)]
-                return chain(self.work, QU, factors, traced=["ba"])
-
+    def test_transposed_q_weights_fail(self):
+        # P^q with q -> q^-1 carries the transposed weights
         for with_D in (False, True):
-            early = Early(self.rep, with_D)
-            assert early.term(1) == qside.bethe(self.rep, "newton", 1, with_D)
-            assert early.term(2) != qside.bethe(self.rep, "newton", 2, with_D)
+            kept = qside.NewtonChain(self.rep, with_D)
+            kept.pq = q_permutation(2, QU, QU.gens[0] ** -1)
+            assert kept.term(1) == reference(self.rep, 1, with_D)
+            assert kept.term(2) != reference(self.rep, 2, with_D)
+
+    def test_leg_traced_before_the_q_permutation_fails(self, monkeypatch):
+        # tr_k(V_k L_k) times the identity on z0 in place of the flip:
+        # leg k summed before P^q_(k,k+1) couples it to leg k + 1
+        def early(self, flip):
+            legs = self.space.leg_names()
+            return self.partial_trace(legs[:1]).place(self.space, *legs[1:])
+
+        monkeypatch.setattr(AuxTensor, "flip_trace", early)
+        for with_D in (False, True):
+            kept = qside.NewtonChain(self.rep, with_D)
+            assert kept.term(1) == reference(self.rep, 1, with_D)
+            assert kept.term(2) != reference(self.rep, 2, with_D)

@@ -71,6 +71,12 @@ class TestFusedElements:
 
 
 class TestTracedProduct:
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_order_below_one_is_refused(self, m):
+        for build in (qside.mcal, qside.mcal_collapsed):
+            with pytest.raises(ValueError, match="m must be >= 1"):
+                build(qrep22(), m)
+
     def test_recursion_matches_collapse(self):
         rep = qrep22()
         for m in (1, 2):
@@ -448,11 +454,14 @@ class TestKeptObjects:
     @pytest.mark.parametrize("with_D", [False, True])
     def test_kept_fused_element_equals_a_fresh_build(self, with_D):
         q, u = qside.QU.gens
-        for kind in ("antisym", "newton"):
+        key = (2, self.rep.points, with_D, qside.QU, q, u)
+        fresh = {
+            "antisym": qside._bethe.__wrapped__(*key[:2], 2, *key[2:]),
+            "newton": qside.newton_chain.__wrapped__(*key).term(2),
+        }
+        for kind, element in fresh.items():
             kept = qside.bethe(self.rep, kind, 2, with_D)
-            args = (2, self.rep.points, kind, 2, with_D, qside.QU, q, u)
-            fresh = qside._bethe.__wrapped__(*args)
-            assert fresh is not kept and fresh == kept
+            assert element is not kept and element == kept
 
     def test_classical_context(self):
         kept = qside.classical_context(2, self.rep.points)
