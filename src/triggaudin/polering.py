@@ -15,9 +15,12 @@ comes off by exact synthetic division by q u - p (by Gauss's lemma the
 quotient has integer coefficients).  A product only tests each
 factor's numerator at the other factor's poles, a sum only the poles
 at which both summands have the same exponent, and the derivative has
-a closed form whose numerator vanishes at no pole.  The ring's units
-are c * prod (q u - p)^k, so division is only by those; any other
-divisor raises :class:`ArithmeticError`, as
+a closed form whose numerator vanishes at no pole.  A sum of products
+(:meth:`PoleFun.dot`, one per entry of an operator product) is reduced
+once: the raw products are added over common poles and a common
+denominator, and the sum alone is tested at its poles and divided by
+its content.  The ring's units are c * prod (q u - p)^k, so division is
+only by those; any other divisor raises :class:`ArithmeticError`, as
 :meth:`~triggaudin.laurent.Laurent.inverse` does.
 
 Local expansions are integer Taylor series at a point: at a pole the
@@ -31,7 +34,7 @@ of the equal reduced rational function with a monic denominator.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, isqrt
+from math import comb, gcd, isqrt, lcm
 
 from .rationals import normal_ints
 
@@ -89,6 +92,15 @@ def _times_linear(ints, p, q, k=1):
             out[j + 1] += q * c
         ints = out
     return ints
+
+
+def _plus(a, b):
+    """a + b, added into the longer of the two lists."""
+    if len(a) < len(b):
+        a, b = b, a
+    for i, c in enumerate(b):
+        a[i] += c
+    return a
 
 
 def _cancel(num, poles, only=None):
@@ -339,6 +351,85 @@ class PoleFun:
                 exps[key] = exps.get(key, 0) + e
             poles = tuple(sorted(exps.items()))
         return _new(self.ring, _conv(a, b), self.den * other.den, poles)
+
+    @staticmethod
+    def dot(pairs):
+        """sum v * w over the (v, w) pairs, all in one ring, as one element.
+
+        Each product's numerator is formed raw, with its pole exponents
+        added and nothing cancelled; the products are lifted to the
+        largest exponent of every factor over the lcm of their
+        denominators and added once, and the sum gets one full pole
+        cancellation and one content reduction.
+        """
+        if len(pairs) == 1:
+            ((v, w),) = pairs
+            return v * w
+        first = pairs[0][0]
+        ring = first.ring
+        terms = []
+        for v, w in pairs:
+            if type(v) is not PoleFun or v.ring is not ring:
+                first._check(v)
+            if type(w) is not PoleFun or w.ring is not ring:
+                first._check(w)
+            a, b = v.num, w.num
+            if not a or not b:
+                continue
+            pa, pb = v.poles, w.poles
+            if len(b) == 1 and not pb:
+                c = b[0]
+                num, poles = [c * x for x in a], pa
+            elif len(a) == 1 and not pa:
+                c = a[0]
+                num, poles = [c * x for x in b], pb
+            else:
+                num = _conv(a, b)
+                if not pb:
+                    poles = pa
+                elif not pa:
+                    poles = pb
+                elif pa == pb:
+                    poles = tuple([(key, e + e) for key, e in pa])
+                else:
+                    exps = dict(pa)
+                    for key, e in pb:
+                        exps[key] = exps.get(key, 0) + e
+                    poles = tuple(sorted(exps.items()))
+            terms.append((num, v.den * w.den, poles))
+        if not terms:
+            return ring.zero
+        den = lcm(*[d for _, d, _ in terms])
+        # terms with the same poles are added before they are lifted
+        groups = {}
+        for num, d, poles in terms:
+            f = den // d
+            if f != 1:
+                num = [c * f for c in num]
+            acc = groups.get(poles)
+            groups[poles] = num if acc is None else _plus(acc, num)
+        top = {}
+        for poles in groups:
+            for key, e in poles:
+                if top.get(key, 0) < e:
+                    top[key] = e
+        poles = tuple(sorted(top.items()))
+        out = []
+        for own, num in groups.items():
+            if own != poles:
+                exps = dict(own)
+                for key, e in poles:
+                    lift = e - exps.get(key, 0)
+                    if lift:
+                        num = _times_linear(num, *key, lift)
+            out = _plus(out, num)
+        n = len(out)
+        while n and not out[n - 1]:
+            n -= 1
+        if not n:
+            return ring.zero
+        num, poles = _cancel(out[:n], poles)
+        return _new(ring, num, den, poles)
 
     def scale(self, c):
         """Multiply by a rational scalar."""

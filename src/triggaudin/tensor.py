@@ -19,9 +19,10 @@ do not unpack them entry by entry: ``embed`` adds one precomputed
 offset per source index and one per combination of the free legs, and
 ``partial_trace`` reads the traced digits and the kept index of a flat
 index from two tables, cached per (N, number of legs, traced
-positions).  ``product_trace`` hands the same two tables to
-:func:`~triggaudin.kernels.sparse_matmul_trace`, which multiplies only
-the pairs of entries that agree on the traced digits.  ``flip_trace``
+positions).  :meth:`AuxTensor.product_sum`, of which ``*`` and
+``product_trace`` are the one-product cases, hands the same two tables
+to :func:`~triggaudin.kernels.sparse_matmul_trace`, which multiplies
+only the pairs of entries that agree on the traced digits.  ``flip_trace``
 contracts a weighted flip with a tensor without forming their product:
 it reads each entry's block on the first leg by two integer divisions
 and scales the entry by that block's weight.
@@ -29,7 +30,12 @@ and scales the entry by that block's weight.
 
 from functools import lru_cache
 
-from .kernels import sparse_add, sparse_matmul, sparse_matmul_trace
+from .kernels import (
+    sparse_add,
+    sparse_matmul,
+    sparse_matmul_sum,
+    sparse_matmul_trace,
+)
 
 
 class Leg:
@@ -179,23 +185,44 @@ class AuxTensor:
 
     def __mul__(self, other):
         """Operator product (both factors on the same space)."""
-        self._check(other)
-        return AuxTensor(
-            self.space, self.ring, sparse_matmul(self.entries, other.entries)
-        )
+        return AuxTensor.product_sum(((self, other),))
 
     def product_trace(self, other, names):
         """``(self * other).partial_trace(names)``, without forming the
-        product: only the pairs of entries that agree on the named legs
-        are multiplied, and each is added straight into the traced
-        result (:func:`~triggaudin.kernels.sparse_matmul_trace`)."""
-        self._check(other)
-        space, traced, kept = self._trace_tables(names)
-        return AuxTensor(
-            space,
-            self.ring,
-            sparse_matmul_trace(self.entries, other.entries, traced, kept),
-        )
+        product (:meth:`product_sum` of one product)."""
+        return AuxTensor.product_sum(((self, other),), names)
+
+    @staticmethod
+    def product_sum(products, names=()):
+        """sum_t A_t B_t over the (A_t, B_t) pairs, all on one space,
+        with the named legs traced.
+
+        Each entry of the result gets every pair of entries that lands
+        on it and is reduced once
+        (:func:`~triggaudin.kernels.sparse_matmul_sum`).  With legs
+        named, no product is formed: only the pairs of entries that
+        agree on those legs are multiplied, and each is added straight
+        into the traced result
+        (:func:`~triggaudin.kernels.sparse_matmul_trace`).
+        """
+        first = products[0][0]
+        for a, b in products:
+            if a is not first:
+                first._check(a)
+            first._check(b)
+        pairs = [(a.entries, b.entries) for a, b in products]
+        if names:
+            space, traced, kept = first._trace_tables(names)
+            entries = sparse_matmul_trace(pairs, traced, kept)
+        else:
+            # a lone product goes through sparse_matmul, which perfbench's
+            # tracer counts
+            space = first.space
+            if len(pairs) == 1:
+                entries = sparse_matmul(*pairs[0])
+            else:
+                entries = sparse_matmul_sum(pairs)
+        return AuxTensor(space, first.ring, entries)
 
     def commutator(self, other):
         return self * other - other * self

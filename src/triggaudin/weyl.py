@@ -3,14 +3,17 @@
 Both are polynomials in one operator with coefficients that are sparse
 tensors whose entries depend on u, coefficients standing to the left.
 They share everything but the commutation rule, which each subclass
-gives as its product loop: :class:`DiffOp` is a polynomial in d/du with
-the Weyl rule d/du . g(u) = g(u) . d/du + g'(u); :class:`QDiffOp` is a
+gives as its product: :class:`DiffOp` is a polynomial in d/du with the
+Weyl rule d/du . g(u) = g(u) . d/du + g'(u); :class:`QDiffOp` is a
 polynomial in the shift delta with the substitution rule
-delta . g(u) = g(u/q^2) . delta.  One loop serves both ``A * B`` and
-``A.product_trace(B, names)``, which sums each coefficient product over
-the named legs as it forms it (:meth:`AuxTensor.product_trace`), so a
-traced product is never formed whole.  The two never mix: the classical
-and q regimes are separate types on purpose.
+delta . g(u) = g(u/q^2) . delta.  Each product groups its coefficient
+products by output degree and takes one summed product per degree
+(:meth:`AuxTensor.product_sum`), so every entry of every output
+coefficient is reduced once.  One loop serves both ``A * B`` and
+``A.product_trace(B, names)``, which sums each degree over the named
+legs as it forms it, so a traced product is never formed whole.  The
+two never mix: the classical and q regimes are separate types on
+purpose.
 """
 
 from math import comb
@@ -111,9 +114,15 @@ class OperatorPolynomial:
 
     def product_trace(self, other, names):
         """``(self * other).partial_trace(names)`` by the product loop of
-        ``__mul__``, each coefficient product summed over the named legs."""
-        return self._product(
-            other, lambda a, b: a.product_trace(b, names), self.space.drop(names)
+        ``__mul__``, each output degree summed over the named legs."""
+        return self._product(other, names)
+
+    def _summed(self, terms, names):
+        """The operator with degree d the sum of the coefficient products
+        ``terms[d]``, each degree one summed product over the named legs."""
+        space = self.space.drop(names) if names else self.space
+        return self._new(
+            {d: AuxTensor.product_sum(ps, names) for d, ps in terms.items()}, space
         )
 
     def partial_trace(self, names):
@@ -132,32 +141,32 @@ class DiffOp(OperatorPolynomial):
 
     def __mul__(self, other):
         """Weyl-type product: d^j g = sum_i C(j,i) g^(i) d^(j-i)."""
-        return self._product(other, AuxTensor.__mul__, self.space)
+        return self._product(other)
 
-    def _product(self, other, mul, space):
-        """The Weyl product with each coefficient product taken by ``mul``,
-        its result on ``space``; each coefficient of ``other`` is derived
-        once per derivative order."""
+    def _product(self, other, names=()):
+        """The Weyl product, the terms C(j,i) a_j b_k^(i) of each degree
+        j - i + k summed at once; C(j,i) is folded into a_j once per
+        (j, i) and each coefficient of ``other`` is derived once per
+        order."""
         self._check(other)
-        out = {}
-        max_j = self.degree()
-        if max_j is None or other.is_zero():
-            return DiffOp.zero(space, self.ring)
+        scaled = {}
+        for j, aj in self.coeffs.items():
+            for i in range(j + 1):
+                c = comb(j, i)
+                scaled[j, i] = aj if c == 1 else aj.scale(self.ring.from_int(c))
+        terms = {}
+        max_j = max(self.coeffs, default=0)
         for k, bk in other.coeffs.items():
-            ders = [bk]  # bk, bk', ..., bk^(max_j) entrywise
-            for _ in range(max_j):
-                ders.append(ders[-1].map_entries(lambda e: e.derivative()))
-            for j, aj in self.coeffs.items():
-                for i in range(j + 1):
-                    term = mul(aj, ders[i])
-                    if term.is_zero():
-                        continue
-                    c = comb(j, i)
-                    if c != 1:
-                        term = term.scale(self.ring.from_int(c))
-                    deg = j - i + k
-                    out[deg] = out[deg] + term if deg in out else term
-        return DiffOp(space, self.ring, out)
+            der = bk  # bk, bk', ..., bk^(max_j) entrywise
+            for i in range(max_j + 1):
+                if i:
+                    der = der.map_entries(lambda e: e.derivative())
+                    if der.is_zero():
+                        break
+                for j in self.coeffs:
+                    if j >= i:
+                        terms.setdefault(j - i + k, []).append((scaled[j, i], der))
+        return self._summed(terms, names)
 
 
 class QDiffOp(OperatorPolynomial):
@@ -186,18 +195,14 @@ class QDiffOp(OperatorPolynomial):
 
     def __mul__(self, other):
         """Product with delta g(u) = g(shift * u) delta."""
-        return self._product(other, AuxTensor.__mul__, self.space)
+        return self._product(other)
 
-    def _product(self, other, mul, space):
-        """The shift product with each coefficient product taken by
-        ``mul``, its result on ``space``."""
+    def _product(self, other, names=()):
+        """The shift product, the terms a_j b_k(shift^j u) of each degree
+        j + k summed at once."""
         self._check(other)
-        out = {}
+        terms = {}
         for j, aj in self.coeffs.items():
             for k, bk in other.coeffs.items():
-                term = mul(aj, self._shifted(bk, j))
-                if term.is_zero():
-                    continue
-                deg = j + k
-                out[deg] = out[deg] + term if deg in out else term
-        return QDiffOp(space, self.ring, out, self.shift)
+                terms.setdefault(j + k, []).append((aj, self._shifted(bk, j)))
+        return self._summed(terms, names)

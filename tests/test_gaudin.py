@@ -231,7 +231,7 @@ class TestContractedRoutes:
         monkeypatch.setattr(
             tensor_module,
             "sparse_matmul_trace",
-            lambda a, b, traced, kept: sparse_matmul_trace(a, b, kept, traced),
+            lambda products, traced, kept: sparse_matmul_trace(products, kept, traced),
         )
         rep = gaudin.GaudinRep(2, [rational(1), rational(3)])
         ctx = gaudin.rep_context(rep)

@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from triggaudin import gaudin, polering
 from triggaudin.gaudin import Qu
 from triggaudin.poly import UniPoly
-from triggaudin.polering import PoleError
+from triggaudin.polering import PoleError, PoleFun
 from triggaudin.rationals import QQ
 from triggaudin.ratfun import FracField, RatFun
 from triggaudin.rmatrices import r_classical
@@ -228,6 +228,78 @@ class TestNegativeControls:
         assert Qu.gen * inv - inv == Qu.one
         self._skip_pole_test(monkeypatch)
         assert Qu.gen * inv - inv != Qu.one
+
+
+def fold(pairs):
+    """sum v * w, one product and one sum at a time."""
+    out = Qu.zero
+    for v, w in pairs:
+        out = out + v * w
+    return out
+
+
+ring_elements = elements.map(lambda fx: fx[0])
+
+
+class TestDot:
+    """``PoleFun.dot`` against the running sum of ``v * w``."""
+
+    @SETTINGS
+    @given(st.lists(st.tuples(ring_elements, ring_elements), min_size=1, max_size=5))
+    def test_dot_equals_the_pairwise_fold(self, pairs):
+        got = PoleFun.dot(pairs)
+        assert got == fold(pairs) and canonical(got)
+
+    def test_cases(self):
+        u = Qu.gen
+        inv1 = Qu.one / linear(Fraction(1))[0]
+        inv3 = Qu.one / linear(Fraction(-3))[0]
+        inv_half = Qu.one / linear(Fraction(1, 2))[0]
+        third = Qu.embed(Fraction(1, 3))
+        x = (u + Qu.from_int(2)) * inv1 * inv3
+        cases = {
+            "shared": [(inv1, inv1), (u, inv1 * inv1), (inv1, x)],
+            "disjoint": [(inv1, inv3), (inv_half, u), (x, inv_half)],
+            # u - 1 vanishes at the other factor's pole
+            "vanishing": [(u - Qu.one, inv1 * inv1), (u - Qu.one, inv1 * inv3)],
+            # 1/(u-1) + (u-2)/(u-1) = 1
+            "cancel-pole": [(inv1, Qu.one), (u - Qu.from_int(2), inv1)],
+            "cancel-zero": [(x, inv_half), (-x, inv_half), (inv1, u), (u, -inv1)],
+            "constants": [(third, x), (x, Qu.from_int(-2)), (third, third)],
+            "zero-factors": [(Qu.zero, x), (x, Qu.zero), (inv1, Qu.one)],
+            "single": [(x, inv_half)],
+        }
+        for name, pairs in cases.items():
+            got = PoleFun.dot(pairs)
+            assert got == fold(pairs) and canonical(got), name
+        assert PoleFun.dot(cases["cancel-pole"]) == Qu.one
+        assert PoleFun.dot(cases["cancel-zero"]) == Qu.zero
+        assert PoleFun.dot(cases["single"]) == x * inv_half
+
+    def test_mismatch_raises_as_mul_does(self):
+        other = polering.PoleRing("v")
+        for foreign, error in ((other.gen, ValueError), (Fraction(1), TypeError)):
+            with pytest.raises(error):
+                Qu.gen * foreign
+            for pairs in (
+                [(Qu.gen, foreign), (Qu.one, Qu.one)],
+                [(Qu.gen, Qu.one), (foreign, Qu.one)],
+                [(Qu.gen, Qu.one), (Qu.one, foreign)],
+            ):
+                with pytest.raises(error):
+                    PoleFun.dot(pairs)
+
+    def test_uncancelled_dot_is_unequal(self, monkeypatch):
+        # negative control: without the final pole cancellation the sum
+        # is the same rational function, not in canonical form
+        inv1 = Qu.one / linear(Fraction(1))[0]
+        pairs = [(inv1, Qu.one), (Qu.gen - Qu.from_int(2), inv1)]
+        reduced = PoleFun.dot(pairs)
+        monkeypatch.setattr(polering, "_cancel", lambda num, poles: (num, poles))
+        skipped = PoleFun.dot(pairs)
+        assert to_ratfun(skipped) == to_ratfun(reduced)  # the same function ...
+        assert skipped != reduced  # ... not in canonical form
+        assert reduced == Qu.one
 
 
 # -- the theta routes against a current of RatFun entries -----------------

@@ -577,7 +577,7 @@ class TestProductTrace:
         monkeypatch.setattr(
             tensor_module,
             "sparse_matmul_trace",
-            lambda a, b, traced, kept: sparse_matmul_trace(a, b, kept, traced),
+            lambda products, traced, kept: sparse_matmul_trace(products, kept, traced),
         )
         x, y, names = find(
             product_cases(None, small_ints.filter(bool)),
