@@ -5,10 +5,12 @@ x_1^e_1 ... x_n^e_n whose exponents may be negative.  It is stored as
 integer numerators over one positive int denominator,
 {packed exponent: int} / den, with no zero numerator and the content
 gcd of the numerators coprime to den.  That form is canonical, so
-structural equality is mathematical equality.  Products are integer
-convolutions and sums add numerators over a common denominator, each
-followed by one content reduction (skipped when den is 1);
-:meth:`Laurent.dot` sums many products with one reduction in all.
+structural equality is mathematical equality.  Every product is
+formed in one place, :meth:`Laurent.dot`, which sums the integer
+convolutions of a list of pairs with one content reduction in all
+(skipped when den is 1); ``a * b`` is its one-pair case, where a
+monomial factor only shifts exponents.  Sums add numerators over a
+common denominator, followed by one content reduction.
 ``Fraction`` appears only where a coefficient is read out: in
 :attr:`Laurent.terms` and in the rendering.
 
@@ -150,27 +152,7 @@ class Laurent:
         return self + (-other)
 
     def __mul__(self, other):
-        if type(other) is not Laurent or other.ring is not self.ring:
-            self._check(other)
-        bound = _guard(self.bound + other.bound)
-        a, b = self.ints, other.ints
-        if len(a) < len(b):
-            a, b = b, a
-        if len(b) == 1:
-            # monomial factor: exponents shift, no two terms can collide
-            ((eb, cb),) = b.items()
-            out = {e + eb: c * cb for e, c in a.items()}
-        else:
-            out = {}
-            for ea, ca in a.items():
-                for eb, cb in b.items():
-                    e = ea + eb
-                    if e in out:
-                        out[e] += ca * cb
-                    else:
-                        out[e] = ca * cb
-            out = {e: c for e, c in out.items() if c}
-        return _bounded(_new(self.ring, out, self.den * other.den), bound)
+        return Laurent.dot(((self, other),))
 
     @staticmethod
     def dot(pairs):
@@ -178,11 +160,9 @@ class Laurent:
 
         Every pair's convolution goes into one dict over the lcm of the
         pair denominators, and the sum gets one content reduction, not
-        one per product and one per sum.
+        one per product and one per sum.  A lone product by a monomial
+        only shifts the other factor's exponents, so no terms collide.
         """
-        if len(pairs) == 1:
-            ((v, w),) = pairs
-            return v * w
         first = pairs[0][0]
         ring = first.ring
         bound = 0
@@ -196,6 +176,15 @@ class Laurent:
                 bound = v.bound + w.bound
             dens.append(v.den * w.den)
         _guard(bound)
+        if len(pairs) == 1:
+            ((v, w),) = pairs
+            a, b = v.ints, w.ints
+            if len(a) < len(b):
+                a, b = b, a
+            if len(b) == 1:
+                ((eb, cb),) = b.items()
+                out = {e + eb: c * cb for e, c in a.items()}
+                return _bounded(_new(ring, out, dens[0]), bound)
         den = lcm(*dens)
         out = {}
         for (v, w), d in zip(pairs, dens):

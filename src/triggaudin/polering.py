@@ -12,14 +12,15 @@ poles: one ring serves every set of sites.
 No polynomial gcd is taken anywhere.  The pole test is a homogeneous
 integer evaluation sum_k c_k p^k q^(n-k), and a factor found there
 comes off by exact synthetic division by q u - p (by Gauss's lemma the
-quotient has integer coefficients).  A product only tests each
-factor's numerator at the other factor's poles, a sum only the poles
-at which both summands have the same exponent, and the derivative has
-a closed form whose numerator vanishes at no pole.  A sum of products
-(:meth:`PoleFun.dot`, one per entry of an operator product) is reduced
-once: the raw products are added over common poles and a common
-denominator, and the sum alone is tested at its poles and divided by
-its content.  The ring's units are c * prod (q u - p)^k, so division is
+quotient has integer coefficients).  Every product is formed in one
+place, :meth:`PoleFun.dot`, the sum of products of a list of pairs (one
+per entry of an operator product), and ``a * b`` is its one-pair case.
+The raw products are added over common poles and a common denominator,
+and the sum alone is tested at its poles and divided by its content; a
+lone product by a constant only scales the other factor.  A sum tests
+only the poles at which both summands have the same exponent, and the
+derivative has a closed form whose numerator vanishes at no pole.  The
+ring's units are c * prod (q u - p)^k, so division is
 only by those; any other divisor raises :class:`ArithmeticError`, as
 :meth:`~triggaudin.laurent.Laurent.inverse` does.
 
@@ -328,29 +329,7 @@ class PoleFun:
         return _new(self.ring, [c * x for x in self.num], self.den * d, self.poles)
 
     def __mul__(self, other):
-        if type(other) is not PoleFun or other.ring is not self.ring:
-            self._check(other)
-        a, b = self.num, other.num
-        if not a or not b:
-            return self.ring.zero
-        pa, pb = self.poles, other.poles
-        if len(b) == 1 and not pb:
-            return self._times(b[0], other.den)
-        if len(a) == 1 and not pa:
-            return other._times(a[0], self.den)
-        if pa == pb:
-            # neither numerator vanishes at a shared pole
-            poles = tuple([(key, e + e) for key, e in pa])
-        else:
-            # a numerator can vanish only at the other factor's own poles
-            ka, kb = dict(pa), dict(pb)
-            a, pb = _cancel(a, pb, kb.keys() - ka.keys())
-            b, pa = _cancel(b, pa, ka.keys() - kb.keys())
-            exps = dict(pa)
-            for key, e in pb:
-                exps[key] = exps.get(key, 0) + e
-            poles = tuple(sorted(exps.items()))
-        return _new(self.ring, _conv(a, b), self.den * other.den, poles)
+        return PoleFun.dot(((self, other),))
 
     @staticmethod
     def dot(pairs):
@@ -360,11 +339,9 @@ class PoleFun:
         added and nothing cancelled; the products are lifted to the
         largest exponent of every factor over the lcm of their
         denominators and added once, and the sum gets one full pole
-        cancellation and one content reduction.
+        cancellation and one content reduction.  A lone product by a
+        constant only scales the other factor, whose poles all stay.
         """
-        if len(pairs) == 1:
-            ((v, w),) = pairs
-            return v * w
         first = pairs[0][0]
         ring = first.ring
         terms = []
@@ -378,11 +355,13 @@ class PoleFun:
                 continue
             pa, pb = v.poles, w.poles
             if len(b) == 1 and not pb:
-                c = b[0]
-                num, poles = [c * x for x in a], pa
+                if len(pairs) == 1:
+                    return v._times(b[0], w.den)
+                num, poles = [b[0] * x for x in a], pa
             elif len(a) == 1 and not pa:
-                c = a[0]
-                num, poles = [c * x for x in b], pb
+                if len(pairs) == 1:
+                    return w._times(a[0], v.den)
+                num, poles = [a[0] * x for x in b], pb
             else:
                 num = _conv(a, b)
                 if not pb:
@@ -399,6 +378,10 @@ class PoleFun:
             terms.append((num, v.den * w.den, poles))
         if not terms:
             return ring.zero
+        if len(terms) == 1:
+            ((num, den, poles),) = terms
+            num, poles = _cancel(num, poles)
+            return _new(ring, num, den, poles)
         den = lcm(*[d for _, d, _ in terms])
         # terms with the same poles are added before they are lifted
         groups = {}

@@ -93,23 +93,28 @@ def _gens(ring, q, u):
     return ring.gens[0] if q is None else q, ring.gens[1] if u is None else u
 
 
-def qrep_current(rep, ring=QU, q=None, u=None):
+def qrep_current(rep, ring=QU, q=None, u=None, with_D=False):
     """The cleared current den(u) L+(u), den(u) = prod_i (q - u/(a_i q)).
 
     L+(u) = R_{01}(u/a_1) R_{02}(u/a_2) ... R_{0l}(u/a_l) on the legs
     (z0, sites); each factor is multiplied by its scalar denominator
-    (q - x/q), so every entry is a Laurent polynomial.  ``q`` and ``u``
-    default to the ring's first two generators; passing ``u`` supports
-    shifted arguments like u q^{-2a+2} and the second variable of
-    bivariate checks.  The current is kept per (N, points, ring, q, u)
-    in a bounded cache, so the exchange relation, the fused elements and
-    the products at one site set build each current once.
+    (q - x/q), so every entry is a Laurent polynomial.  ``with_D`` gives
+    L+(u) D, D on z0: the one place where the twist is applied.  ``q``
+    and ``u`` default to the ring's first two generators; passing ``u``
+    supports shifted arguments like u q^{-2a+2} and the second variable
+    of bivariate checks.  Each current is kept per (N, points, ring, q,
+    u, with_D) in a bounded cache, the twisted one built from the kept
+    untwisted one, so each is built once per site set.
     """
-    return _qrep_current(rep.N, rep.points, ring, *_gens(ring, q, u))
+    q, u = _gens(ring, q, u)
+    return _qrep_current(rep.N, rep.points, ring, q, u, bool(with_D))
 
 
 @lru_cache(maxsize=64)
-def _qrep_current(N, points, ring, q, u):
+def _qrep_current(N, points, ring, q, u, with_D):
+    if with_D:
+        L = _qrep_current(N, points, ring, q, u, False)
+        return L * diag_shift_d(N, ring, q).place(L.space, "z0")
     factors = [
         (r_quantum_scaled(N, ring, q, u / embed_rational(ring, a)), "z0", "s%d" % i)
         for i, a in enumerate(points, start=1)
@@ -161,11 +166,10 @@ def bethe(rep, kind, k, with_D=False, ring=QU, q=None, u=None):
     A "newton" element is term k of the :class:`NewtonChain` of
     :func:`newton_chain`.  An "antisym" element is one
     :func:`~triggaudin.tensor.chain` that sums leg b_a right after its
-    last factor: the projector, then L_a on (b_a, sites) for a = 1, ...,
-    k, each followed by D_a when twisted (D_a acts on b_a alone, so it
-    commutes with every later L).  Both are kept per (N, points, with_D,
-    ring, q, u), the "antisym" element per k as well, so the commuting
-    pairs of one family build each element once.
+    last factor: the projector, then the kept current L_a [twisted] on
+    (b_a, sites) for a = 1, ..., k.  Both are kept per (N, points,
+    with_D, ring, q, u), the "antisym" element per k as well, so the
+    commuting pairs of one family build each element once.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -185,11 +189,9 @@ def _bethe(N, points, k, with_D, ring, q, u):
     bnames = ["b%d" % a for a in range(1, k + 1)]
     sites = rep.site_names()
     factors = [(antisymmetrizer(k, N, ring, q), *bnames)]
-    D = diag_shift_d(N, ring, q) if with_D else None
     for a, nm in enumerate(bnames, start=1):
-        factors.append((qrep_current(rep, ring, q, u * q ** (2 - 2 * a)), nm, *sites))
-        if with_D:
-            factors.append((D, nm))
+        L = qrep_current(rep, ring, q, u * q ** (2 - 2 * a), with_D)
+        factors.append((L, nm, *sites))
     return chain(rep.space(bnames), ring, factors, traced=bnames)
 
 
@@ -225,7 +227,7 @@ def mcal(rep, m, with_D=False):
     """The m-th bracketed product, traced: a polynomial in delta over :data:`QU`.
 
     Built by the right-multiplication recursion with M_a = L+_a(u) delta
-    (times D_a when shifted); delta shifts u by q^{-2}.  The currents are
+    (twisted when shifted); delta shifts u by q^{-2}.  The currents are
     cleared and the (q-1)^{-m} prefactor is left out: with
     den(u) = prod_i (q - u/(a_i q)), the delta^k coefficient is
     (q-1)^m prod_{j<k} den(u q^{-2j}) times the true one (see
@@ -234,13 +236,14 @@ def mcal(rep, m, with_D=False):
     The recursion traces as it goes, like
     :class:`~triggaudin.gaudin.ThetaContext`: nothing after step a acts on
     leg t_a and the delta-shift acts entry by entry, so
-    X_{a+1} = tr_a(P_{a,a+1} X_a - P^q_{a,a+1} (X_a M_a)) and the result
-    is tr_m(X_m - X_m M_m).  X_a lives on (tb, sites) and each step works
-    in (ta, tb, sites), so the working space has dimension N^(2+l) for l
-    sites, not N^(m+l).  X_a does not depend on m, so the chain X_1,
-    X_2, ... is kept per (N, points, twist) (:func:`_mcal_chain`) and
-    extended only as far as m; the step operators are placed afresh on
-    every call, from the kept current.
+    X_{a+1} = tr_a(P_{a,a+1} X_a - P^q_{a,a+1} (X_a M_a)), which is
+    X_a - tr_a(P^q_{a,a+1} (X_a M_a)) since the plain flip only moves X_a
+    to the next leg, and the result is tr_m(X_m - X_m M_m).  X_a lives on
+    (tb, sites) and each step works in (ta, tb, sites), so the working
+    space has dimension N^(2+l) for l sites, not N^(m+l).  X_a does not
+    depend on m, so the chain X_1, X_2, ... is kept per (N, points,
+    twist) (:func:`_mcal_chain`) and extended only as far as m; the step
+    operators are placed afresh on every call, from the kept current.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -249,17 +252,15 @@ def mcal(rep, m, with_D=False):
     sites = rep.site_names()
     work = rep.space(["ta", "tb"])
     rest = work.drop(["ta"])
-    L = qrep_current(rep)
-    if with_D:
-        L = L * diag_shift_d(rep.N, QU, q).place(L.space, "z0")
+    L = qrep_current(rep, with_D=with_D)
     m_ta = QDiffOp(work, QU, {1: L.place(work, "ta", *sites)}, shift)
     m_tb = QDiffOp(rest, QU, {1: L.place(rest, "tb", *sites)}, shift)
-    pp = permutation(rep.N, QU).place(work, "ta", "tb")
     pq = q_permutation(rep.N, QU, q).place(work, "ta", "tb")
     xs = _mcal_chain(rep.N, rep.points, bool(with_D))
     while len(xs) < m:
-        X = xs[-1].place(work, "ta", *sites)
-        xs.append((X.premul(pp) - (X * m_ta).premul(pq)).partial_trace(["ta"]))
+        X = xs[-1]
+        step = (X.place(work, "ta", *sites) * m_ta).premul(pq).partial_trace(["ta"])
+        xs.append(X - step)
     X = xs[m - 1]
     return (X - X * m_tb).partial_trace(["tb"])
 
@@ -275,8 +276,8 @@ def _mcal_chain(N, points, with_D):
 class NewtonChain:
     """The Newton elements ``bethe(rep, "newton", k, ...)``, k = 1, 2, ...
 
-    With L_k the cleared current at u q^(2-2k) [times D_k]: V_1 = 1,
-    term k = tr(V_k L_k) and V_(k+1) = tr_k(P^q_(k,k+1) V_k L_k), exact
+    With L_k the kept current at u q^(2-2k) [twisted]: V_1 = 1, term
+    k = tr(V_k L_k) and V_(k+1) = tr_k(P^q_(k,k+1) V_k L_k), exact
     because L_(k+1) does not act on leg k.  P^q is a weighted flip, so
     V_(k+1) = (V_k L_k).flip_trace(P^q) only reindexes
     (:meth:`~triggaudin.tensor.AuxTensor.flip_trace`), and every step
@@ -290,27 +291,21 @@ class NewtonChain:
         self.rep = rep
         self.ring = ring
         self.q, self.u = _gens(ring, q, u)
+        self.with_D = with_D
         self.pq = q_permutation(rep.N, ring, self.q)
-        self.D = diag_shift_d(rep.N, ring, self.q) if with_D else None
         self.terms = []
         self.V = AuxTensor.identity(rep.current_space(), ring)
         self.L = None
 
-    def current(self, k):
-        """L_k [D_k] on (z0, sites)."""
-        L = qrep_current(self.rep, self.ring, self.q, self.u * self.q ** (2 - 2 * k))
-        if self.D is not None:
-            L = L * self.D.place(L.space, "z0")
-        return L
-
     def term(self, k):
-        """tr(V_k L_k [D_k]), as a tensor on the sites."""
+        """tr(V_k L_k), as a tensor on the sites."""
         if k < 1:
             raise ValueError("k must be >= 1")
         while len(self.terms) < k:
             if self.terms:
                 self.V = (self.V * self.L).flip_trace(self.pq)
-            self.L = self.current(len(self.terms) + 1)
+            u = self.u * self.q ** (-2 * len(self.terms))
+            self.L = qrep_current(self.rep, self.ring, self.q, u, self.with_D)
             self.terms.append(self.V.product_trace(self.L, ["z0"]))
         return self.terms[k - 1]
 
@@ -333,20 +328,15 @@ def mcal_collapsed(rep, m, with_D=False):
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    q = QU.gens[0]
-    shift = q ** -2
     qspace = rep.space()
-    total = QDiffOp.zero(qspace, QU, shift)
-    for k in range(0, m + 1):
-        if k == 0:
-            # the empty subset leaves the full plain cycle, whose total
-            # trace is N rather than 1
-            term = AuxTensor.scalar(qspace, QU, QU.from_int(rep.N))
-        else:
-            term = bethe(rep, "newton", k, with_D)
-        c = QU.from_int((-1) ** k * comb(m, k))
-        total = total + QDiffOp(qspace, QU, {k: term.scale(c)}, shift)
-    return total
+    # k = 0 leaves the full plain cycle, whose total trace is N, not 1
+    terms = [AuxTensor.scalar(qspace, QU, QU.from_int(rep.N))]
+    terms += [bethe(rep, "newton", k, with_D) for k in range(1, m + 1)]
+    coeffs = {
+        k: term.scale(QU.from_int((-1) ** k * comb(m, k)))
+        for k, term in enumerate(terms)
+    }
+    return QDiffOp(qspace, QU, coeffs, QU.gens[0] ** -2)
 
 
 @lru_cache(maxsize=8)

@@ -183,6 +183,10 @@ def task_trpi(N, m):
 
 
 def task_theta_routes(N, points, m, shifted):
+    """The two theta routes agree.  Both end in the same traced product
+    and agree before it, so this cannot see a fault there: with that
+    product's kept and traced tables swapped, every ``theta/routes-*``
+    (and ``commut/*``) record still passes; ``theta/explicit-*`` fail."""
     rep = gaudin.GaudinRep(N, _points(points))
     return _same_operator(
         gaudin.theta_generating(rep, m, shifted), gaudin.theta_mbar(rep, m, shifted)
@@ -280,6 +284,9 @@ def task_mcal_oracle(N, points, m, with_D):
 
 
 def task_qlimit(N, points, m, with_D):
+    """The q-side limit matches theta_m.  Both sides use the same traced
+    product, so as in :func:`task_theta_routes` every ``qlimit/match-*``
+    record passes with that product's kept and traced tables swapped."""
     rep = qside.QRep(N, _points(points))
     result = qside.classical_limit_compare(rep, m, with_D)
     if result["pass"]:

@@ -191,6 +191,17 @@ class TestVerify:
             "a7aaf31e4717e8aa2b41e4a700eea0251fa2e88d541a36c5a28b3c72a852e0ae"
         )
 
+    def test_m6_report_is_pinned(self, tmp_path):
+        # the default sites at the q-side cap: the only cheap report in
+        # which mcal and mcal_collapsed reach m = Q_M_MAX, plain and twisted
+        assert suites.Q_M_MAX == 6
+        out = tmp_path / "report.json"
+        argv = ["verify", "--suite", "all", "--m-max", "6"]
+        assert run(argv + ["--workers", "1", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "8af64c3378ae1fdc9911275bd023ae8a9d56860614c03c066de600864777f1e6"
+        )
+
     def test_qlimit_x16_report_is_pinned(self, tmp_path):
         # the central-term and normalizer checks at an x-order (and so an
         # eps-order) beyond the default 8
@@ -295,6 +306,44 @@ def _src_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return env
+
+
+class TestSwappedTraceTables:
+    def test_report_fails_where_the_routes_cannot_see_it(self, tmp_path):
+        # negative control on the whole report: the traced product handed
+        # the kept table as the traced one, in a fresh process so that no
+        # kept chain of a sound run is reused.  The closed forms and the
+        # q-side oracle fail; the theta routes, the family commutators and
+        # the classical limit compare two sides that end in the same
+        # traced product, so they still pass (a check that comes to see
+        # this fault should move out of ``blind`` here)
+        code = (
+            "import sys\n"
+            "from triggaudin import cli, kernels, tensor\n"
+            "def swapped(products, traced, kept):\n"
+            "    return kernels.sparse_matmul_trace(products, kept, traced)\n"
+            "tensor.sparse_matmul_trace = swapped\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        out = tmp_path / "report.json"
+        argv = ["verify", "--suite", "all", "--workers", "1", "--out", str(out)]
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            env=_src_env(),
+            capture_output=True,
+            timeout=300,
+        )
+        assert proc.returncode == 1, proc.stderr
+        status = {c["id"]: c["status"] for c in load(out)["checks"]}
+        failed = {i for i, s in status.items() if s != "pass"}
+        assert {"theta/explicit-m1", "theta/explicit-m2"} <= failed
+        assert "qside/product-oracle-m1" in failed
+        blind = [
+            i
+            for i in status
+            if i.startswith(("theta/routes-", "commut/", "qlimit/match-"))
+        ]
+        assert len(blind) == 11 and not failed & set(blind)
 
 
 class TestModuleEntryPoint:

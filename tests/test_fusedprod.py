@@ -14,6 +14,7 @@ multiplies in the wrong order and a product that drops C(j, i).
 """
 
 import inspect
+import sys
 from fractions import Fraction
 
 import pytest
@@ -217,7 +218,9 @@ def test_dropped_binomial_fails_on_diffop(monkeypatch):
 
 def test_one_dot_per_output_entry(monkeypatch):
     # each nonzero entry of each output degree is one PoleFun.dot over
-    # all the (j, i, k) terms that land on it; no entry here sums to zero
+    # all the (j, i, k) terms that land on it; no entry here sums to zero.
+    # ``*`` of the ring is itself a one-pair dot, so only the kernel's
+    # reductions are counted
     u = Qu.gen
     space = Space(2, [aux_leg("t"), quantum_leg("s")])
     Y = AuxTensor(
@@ -234,7 +237,8 @@ def test_one_dot_per_output_entry(monkeypatch):
     dot = PoleFun.dot
 
     def counting(pairs):
-        calls.append(len(pairs))
+        if sys._getframe(1).f_code.co_filename == kernels.__file__:
+            calls.append(len(pairs))
         return dot(pairs)
 
     monkeypatch.setattr(PoleFun, "dot", staticmethod(counting))

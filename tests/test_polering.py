@@ -238,17 +238,29 @@ def fold(pairs):
     return out
 
 
+def ratfun_fold(pairs):
+    """sum v * w over the reduced rational functions: ``*`` of the ring
+    is itself a one-pair ``dot``, so :func:`fold` alone would compare
+    ``dot`` with itself."""
+    out = F.zero
+    for v, w in pairs:
+        out = out + to_ratfun(v) * to_ratfun(w)
+    return out
+
+
 ring_elements = elements.map(lambda fx: fx[0])
 
 
 class TestDot:
-    """``PoleFun.dot`` against the running sum of ``v * w``."""
+    """``PoleFun.dot`` against the running sum of ``v * w``, in the ring
+    and over the reduced rational functions."""
 
     @SETTINGS
     @given(st.lists(st.tuples(ring_elements, ring_elements), min_size=1, max_size=5))
     def test_dot_equals_the_pairwise_fold(self, pairs):
         got = PoleFun.dot(pairs)
         assert got == fold(pairs) and canonical(got)
+        assert to_ratfun(got) == ratfun_fold(pairs)
 
     def test_cases(self):
         u = Qu.gen
@@ -272,6 +284,7 @@ class TestDot:
         for name, pairs in cases.items():
             got = PoleFun.dot(pairs)
             assert got == fold(pairs) and canonical(got), name
+            assert to_ratfun(got) == ratfun_fold(pairs), name
         assert PoleFun.dot(cases["cancel-pole"]) == Qu.one
         assert PoleFun.dot(cases["cancel-zero"]) == Qu.zero
         assert PoleFun.dot(cases["single"]) == x * inv_half

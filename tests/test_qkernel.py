@@ -149,11 +149,13 @@ class TestDot:
     @given(data=st.data(), n=st.integers(min_value=1, max_value=5))
     def test_dot_equals_the_pairwise_fold(self, ring, data, n):
         # small exponents, so that products collide and sums cancel
-        pairs = [
-            (pair(data, ring, small)[0], pair(data, ring, small)[0]) for _ in range(n)
-        ]
+        drawn = [(pair(data, ring, small), pair(data, ring, small)) for _ in range(n)]
+        pairs = [(v, w) for (v, _), (w, _) in drawn]
         got = Laurent.dot(pairs)
         assert got == fold(pairs) and canonical(got)
+        # ``*`` is itself a one-pair dot, so the reference ring checks both
+        want = reduce(add, (rv * rw for (_, rv), (_, rw) in drawn))
+        assert agrees(got, want)
 
     @RINGS
     def test_mixed_denominators_zero_factors_and_cancellation(self, ring):

@@ -1,6 +1,7 @@
 """q-side layer: exchange relation, fused elements, classical limits."""
 
 import hashlib
+import inspect
 
 import pytest
 
@@ -8,9 +9,9 @@ from triggaudin.gaudin import ThetaContext
 from triggaudin.rationals import QQ, rational
 from triggaudin.ratfun import FracField
 from triggaudin.reports import report_bytes
-from triggaudin.rmatrices import r_quantum_scaled
+from triggaudin.rmatrices import diag_shift_d, r_quantum_scaled
 from triggaudin.series import SeriesRing, TruncSeries, TruncationError
-from triggaudin import qside, suites
+from triggaudin import qside, rmatrices, suites, weyl
 
 import full_space_q_routes
 import tower_reference
@@ -202,6 +203,21 @@ class TestOracleTask:
         assert rec["witness"] and set(rec["witness"]) <= {"0", "1"}
         for entries in rec["witness"].values():
             assert entries and all(isinstance(v, str) for _, _, v in entries)
+
+    @pytest.mark.parametrize("with_D", [False, True])
+    def test_step_without_its_x_term_fails(self, with_D, monkeypatch):
+        # negative control: X_(a+1) = -tr_a(P^q (X_a M_a)), the step of
+        # mcal without the X_a that tr_a(P X_a) leaves, on a chain of its own
+        source = inspect.getsource(qside.mcal)
+        assert source.count("xs.append(X - step)") == 1
+        namespace = dict(vars(qside), _mcal_chain=qside._mcal_chain.__wrapped__)
+        exec(source.replace("xs.append(X - step)", "xs.append(-step)"), namespace)
+        monkeypatch.setattr(qside, "mcal", namespace["mcal"])
+        for m, status in ((1, "pass"), (2, "fail")):
+            args = {"N": 2, "points": ["1", "3"], "m": m, "with_D": with_D}
+            task = ("oracle", "claim", "task_mcal_oracle", args)
+            (rec,) = suites.run_tasks([task])
+            assert rec["status"] == status
 
     @pytest.mark.parametrize("with_D", [False, True])
     def test_oracle_m3(self, with_D):
@@ -435,9 +451,28 @@ class TestKeptObjects:
             qside.qrep_current(self.other, qside.QUV, q, u),
             qside.qrep_current(self.rep, qside.QUV, q, v),
             qside.qrep_current(self.rep),
+            qside.qrep_current(self.rep, qside.QUV, q, u, with_D=True),
         ]
         assert all(o is not kept for o in others)
-        assert others[0] != kept and others[1] != kept
+        assert others[0] != kept and others[1] != kept and others[3] != kept
+
+    def test_twisted_current_is_the_kept_current_times_d(self, monkeypatch):
+        q, u, _ = qside.QUV.gens
+        twisted = qside.qrep_current(self.rep, qside.QUV, q, u, with_D=True)
+        assert qside.qrep_current(self.rep, qside.QUV, q, u, True) is twisted
+        plain = qside.qrep_current(self.rep, qside.QUV, q, u)
+        D = diag_shift_d(2, qside.QUV, q).place(plain.space, "z0")
+        assert twisted == plain * D
+        # a fresh twisted current is built from the kept untwisted one,
+        # with no R-matrix built again
+        qside._qrep_current.cache_clear()
+        plain = qside.qrep_current(self.rep, qside.QUV, q, u)
+
+        def refuse(*args):
+            raise AssertionError("the R-matrix chain was built again")
+
+        monkeypatch.setattr(qside, "r_quantum_scaled", refuse)
+        assert qside.qrep_current(self.rep, qside.QUV, q, u, True) == plain * D
 
     def test_fused_elements(self):
         v = qside.QUV.gens[2]
@@ -481,6 +516,31 @@ class TestKeptObjects:
                 patch.setattr(qside, "_mcal_chain", qside._mcal_chain.__wrapped__)
                 fresh = {m: qside.mcal(self.rep, m, with_D) for m in order}
             assert kept == fresh
+
+    @pytest.mark.parametrize("with_D", [False, True])
+    def test_mcal_step_is_one_product_without_the_plain_flip(
+        self, with_D, monkeypatch
+    ):
+        # structural guard: tr_a(P X_a) = X_a, so extending the chain
+        # builds no plain flip and multiplies by P^q once per step
+        counts = {"permutation": 0, "premul": 0}
+
+        def counting(name, f):
+            def wrapped(*args):
+                counts[name] += 1
+                return f(*args)
+
+            return wrapped
+
+        for module in (rmatrices, qside):
+            patched = counting("permutation", module.permutation)
+            monkeypatch.setattr(module, "permutation", patched)
+        premul = counting("premul", weyl.OperatorPolynomial.premul)
+        monkeypatch.setattr(weyl.OperatorPolynomial, "premul", premul)
+        qside._mcal_chain.cache_clear()
+        qside.mcal(self.rep, 4, with_D)
+        assert len(qside._mcal_chain(2, self.rep.points, with_D)) == 4
+        assert counts == {"permutation": 0, "premul": 3}
 
     def test_mcal_chains(self):
         qside.mcal(self.rep, 2)
