@@ -238,12 +238,15 @@ def mcal(rep, m, with_D=False):
     leg t_a and the delta-shift acts entry by entry, so
     X_{a+1} = tr_a(P_{a,a+1} X_a - P^q_{a,a+1} (X_a M_a)), which is
     X_a - tr_a(P^q_{a,a+1} (X_a M_a)) since the plain flip only moves X_a
-    to the next leg, and the result is tr_m(X_m - X_m M_m).  X_a lives on
-    (tb, sites) and each step works in (ta, tb, sites), so the working
-    space has dimension N^(2+l) for l sites, not N^(m+l).  X_a does not
-    depend on m, so the chain X_1, X_2, ... is kept per (N, points,
-    twist) (:func:`_mcal_chain`) and extended only as far as m; the step
-    operators are placed afresh on every call, from the kept current.
+    to the next leg, and the result is tr_m(X_m - X_m M_m).  P^q does not
+    depend on u, so P^q (X_a M_a) = (P^q X_a) M_a, and each step is one
+    product of P^q X_a by M_a, summed over t_a as it is formed
+    (``product_trace``).  X_a lives on (tb, sites) and each step works in
+    (ta, tb, sites), so the working space has dimension N^(2+l) for l
+    sites, not N^(m+l).  X_a does not depend on m, so the chain X_1,
+    X_2, ... is kept per (N, points, twist) (:func:`_mcal_chain`) and
+    extended only as far as m; the step operators are placed afresh on
+    every call, from the kept current.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -259,7 +262,7 @@ def mcal(rep, m, with_D=False):
     xs = _mcal_chain(rep.N, rep.points, bool(with_D))
     while len(xs) < m:
         X = xs[-1]
-        step = (X.place(work, "ta", *sites) * m_ta).premul(pq).partial_trace(["ta"])
+        step = X.place(work, "ta", *sites).premul(pq).product_trace(m_ta, ["ta"])
         xs.append(X - step)
     X = xs[m - 1]
     return (X - X * m_tb).partial_trace(["tb"])

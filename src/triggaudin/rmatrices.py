@@ -12,13 +12,27 @@ a1..ak.  :meth:`~triggaudin.tensor.AuxTensor.place` is the one way to
 put a tensor onto other legs.  The chain builders (``adjacent_q_chain``,
 ``plain_cycle_chain``, ``tc_cycle_chain``) take the space of the chain
 they build.
+
+The flips P, Tc, TcBar and P^q, T(y) and the classical r-matrix are
+weighted flips sum_ij c_ij e_ij (x) e_ji: each builder gives only its
+weights c_ij, and :func:`~triggaudin.tensor.weighted_flip` lays them
+out (:mod:`triggaudin.tensor` alone knows that layout).  The quantum
+R-matrix also has e_ii (x) e_jj terms, so ``r_quantum_scaled`` builds
+it entry by entry; ``r_quantum`` is that tensor divided by q - x/q.
 """
 
 import itertools
 
 from .polering import PoleError
 from .series import TruncSeries
-from .tensor import AuxTensor, aux_space, chain, single_leg_matrix, two_leg_tensor
+from .tensor import (
+    AuxTensor,
+    aux_space,
+    chain,
+    single_leg_matrix,
+    two_leg_tensor,
+    weighted_flip,
+)
 
 
 def sign(n):
@@ -27,37 +41,22 @@ def sign(n):
 
 def permutation(N, ring):
     """The flip P = sum e_ij (x) e_ji."""
-    one = ring.one
-    return two_leg_tensor(
-        N, ring, lambda i, j, k, l: one if (k == j and l == i) else None
-    )
+    return weighted_flip(N, ring, lambda i, j: ring.one)
 
 
 def tc(N, ring):
     """The skew tensor sum sign(j-i) e_ij (x) e_ji (value of r at -1)."""
-
-    def coeff(i, j, k, l):
-        if k == j and l == i and i != j:
-            return ring.from_int(sign(j - i))
-        return None
-
-    return two_leg_tensor(N, ring, coeff)
+    return weighted_flip(N, ring, lambda i, j: ring.from_int(sign(j - i)))
 
 
 def tc_bar(N, ring):
     """The off-diagonal flip sum_{i != j} e_ij (x) e_ji."""
-    one = ring.one
-
-    def coeff(i, j, k, l):
-        if k == j and l == i and i != j:
-            return one
-        return None
-
-    return two_leg_tensor(N, ring, coeff)
+    return weighted_flip(N, ring, lambda i, j: ring.one if i != j else None)
 
 
 def t_of_y(N, ring, y):
-    """The two-leg function T(y) in its closed form.
+    """The two-leg function T(y) in its closed form: the weighted flip
+    with weight 1 for i = j, 1/(1-y) for i < j and 1/(1+y) for i > j.
 
     ``y`` is an element of ``ring`` (usually a formal generator); the
     values y = +-1 are poles and are rejected for non-formal input.
@@ -68,15 +67,9 @@ def t_of_y(N, ring, y):
         lower = one / (one + y)
     except ZeroDivisionError:
         raise PoleError("T(y) evaluated at y = +-1")
-
-    def coeff(i, j, k, l):
-        if k != j or l != i:
-            return None
-        if i == j:
-            return one
-        return upper if i < j else lower
-
-    return two_leg_tensor(N, ring, coeff)
+    return weighted_flip(
+        N, ring, lambda i, j: one if i == j else upper if i < j else lower
+    )
 
 
 def t_taylor(N, ring, order):
@@ -96,62 +89,38 @@ def t_taylor(N, ring, order):
 def r_classical(N, ring, x):
     """The trigonometric classical r-matrix at argument x.
 
-    Entry (ij)(ji) carries (1+x)/(1-x) + sign(j-i); x = 1 is a pole
-    and is rejected unless x is formal (nonconstant).
+    The weighted flip with weight (1+x)/(1-x) + sign(j-i); x = 1 is a
+    pole and is rejected unless x is formal (nonconstant).
     """
     one = ring.one
     try:
         core = (one + x) / (one - x)
     except ZeroDivisionError:
         raise PoleError("classical r-matrix evaluated at x = 1")
-
-    def coeff(i, j, k, l):
-        if k != j or l != i:
-            return None
-        c = core + ring.from_int(sign(j - i))
-        return c if c else None
-
-    return two_leg_tensor(N, ring, coeff)
+    return weighted_flip(N, ring, lambda i, j: core + ring.from_int(sign(j - i)))
 
 
 def q_permutation(N, ring, q):
-    """The q-permutation P^q."""
+    """The q-permutation P^q: the weighted flip with weight 1 for i = j,
+    q for i > j and 1/q for i < j."""
     one = ring.one
     qinv = one / q
-
-    def coeff(i, j, k, l):
-        if k != j or l != i:
-            return None
-        if i == j:
-            return one
-        return q if i > j else qinv
-
-    return two_leg_tensor(N, ring, coeff)
+    return weighted_flip(
+        N, ring, lambda i, j: one if i == j else q if i > j else qinv
+    )
 
 
 def r_quantum(N, ring, q, x):
-    """The quantum R-matrix R(x) over a ring containing q.
+    """The quantum R-matrix R(x) = (q - x/q)^-1 ``r_quantum_scaled(x)``
+    over a ring containing q.
 
     ``x`` may be a formal generator or any non-pole ring element
     (poles are where q - x/q vanishes).
     """
-    one = ring.one
-    qinv = one / q
-    den = q - qinv * x
+    den = q - ring.one / q * x
     if not den:
         raise PoleError("quantum R-matrix evaluated at pole q - x/q = 0")
-    mixed = (one - x) / den
-    low = (q - qinv) * x / den
-    high = (q - qinv) / den
-
-    def coeff(i, j, k, l):
-        if i == j and k == l:
-            return one if i == k else mixed
-        if k == j and l == i and i != j:
-            return low if i > j else high
-        return None
-
-    return two_leg_tensor(N, ring, coeff)
+    return r_quantum_scaled(N, ring, q, x).scale(ring.one / den)
 
 
 def r_quantum_scaled(N, ring, q, x):

@@ -55,20 +55,13 @@ def _rand_rational(rng, avoid):
             return x
 
 
-def _repr_triplets(entries):
-    """[[row, col, repr(value)], ...]: failure witnesses keep full values."""
-    return [[r, c, repr(v)] for (r, c), v in entries]
-
-
 def _same_operator(a, b):
     """(ok, witness) for a == b; the witness maps each degree of a - b to
     the entries of its coefficient."""
     diff = a - b
     if diff.is_zero():
         return True, None
-    return False, {
-        str(k): _repr_triplets(t.sorted_entries()) for k, t in diff.coeffs.items()
-    }
+    return False, {str(k): tensor_triplets(t) for k, t in diff.coeffs.items()}
 
 
 # -- r-matrix axiom tasks ----------------------------------------------
@@ -292,7 +285,7 @@ def task_qlimit(N, points, m, with_D):
     if result["pass"]:
         return True, None
     bad = [
-        {"degree": i, "diff": _repr_triplets(entries)}
+        {"degree": i, "diff": tensor_triplets(entries)}
         for i, entries in result["mismatches"]
     ]
     return False, bad

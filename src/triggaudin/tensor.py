@@ -6,9 +6,12 @@ stored sparsely as {(row, col): coefficient} with multi-indices packed
 in mixed radix, row-major in leg order, so all iteration is
 deterministic.  There is no dense representation anywhere.
 
-The builders (:func:`single_leg_matrix`, :func:`two_leg_tensor`) build
-on the fixed auxiliary legs a1 and a1, a2 of :func:`aux_space`;
-:meth:`AuxTensor.place` alone moves a tensor onto other legs.
+The builders (:func:`single_leg_matrix`, :func:`two_leg_tensor`,
+:func:`weighted_flip`) build on the fixed auxiliary legs a1 and a1, a2
+of :func:`aux_space`; :meth:`AuxTensor.place` alone moves a tensor onto
+other legs.  A weighted flip sum_ij c_ij e_ij (x) e_ji is laid out in
+this module only: :func:`weighted_flip` writes it from the N^2 weights
+and :func:`_flip_weights` reads them back for ``flip_trace``.
 :func:`chain` multiplies tensors on legs of a space and sums each
 traced leg in the product with its last factor, so a product over many
 auxiliary legs never holds all of them at once, and the product that
@@ -449,6 +452,21 @@ def _trace_split(N, n, positions):
             pairs = [(t, k * N + d) for t, k in pairs for d in range(N)]
     traced, kept = zip(*pairs)
     return traced, kept
+
+
+def weighted_flip(N, ring, weight):
+    """The weighted flip sum_ij c_ij e_ij (x) e_ji on legs a1, a2, with
+    c_ij = weight(i, j) for 1-based i, j; a zero or None weight leaves
+    its entry out.  Entry e_ij (x) e_ji sits at row (i, j), column
+    (j, i): one weight per entry, where :func:`two_leg_tensor` asks for
+    all N^4 coefficients."""
+    entries = {}
+    for i in range(N):
+        for j in range(N):
+            c = weight(i + 1, j + 1)
+            if c:
+                entries[(i * N + j, j * N + i)] = c
+    return AuxTensor(aux_space(N, 2), ring, entries)
 
 
 def _flip_weights(flip):

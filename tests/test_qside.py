@@ -220,6 +220,25 @@ class TestOracleTask:
             assert rec["status"] == status
 
     @pytest.mark.parametrize("with_D", [False, True])
+    def test_step_with_p_q_at_q_inverse_fails(self, with_D, monkeypatch):
+        # negative control: mcal's P^q built at 1/q, its weights transposed;
+        # only mcal sees it, the Newton chain of the oracle keeps P^q
+        real = rmatrices.q_permutation
+
+        def inverted(N, ring, q):
+            return real(N, ring, ring.one / q)
+
+        namespace = dict(
+            vars(qside),
+            _mcal_chain=qside._mcal_chain.__wrapped__,
+            q_permutation=inverted,
+        )
+        exec(inspect.getsource(qside.mcal), namespace)
+        monkeypatch.setattr(qside, "mcal", namespace["mcal"])
+        for m, ok in ((1, True), (2, False), (3, False)):
+            assert suites.task_mcal_oracle(2, ["1", "3"], m, with_D)[0] is ok
+
+    @pytest.mark.parametrize("with_D", [False, True])
     def test_oracle_m3(self, with_D):
         assert suites.task_mcal_oracle(2, ["1", "3"], 3, with_D) == (True, None)
 
@@ -541,6 +560,29 @@ class TestKeptObjects:
         qside.mcal(self.rep, 4, with_D)
         assert len(qside._mcal_chain(2, self.rep.points, with_D)) == 4
         assert counts == {"permutation": 0, "premul": 3}
+
+    @pytest.mark.parametrize("with_D", [False, True])
+    def test_mcal_step_sums_its_leg_inside_the_product(self, with_D, monkeypatch):
+        # structural guard: each step is one traced product (product_trace),
+        # so extending the chain to m = 4 multiplies by P^q three times and
+        # forms only the closing product whole
+        counts = {"mul": 0, "premul": 0}
+
+        def counting(name, f):
+            def wrapped(*args):
+                counts[name] += 1
+                return f(*args)
+
+            return wrapped
+
+        mul = counting("mul", weyl.QDiffOp.__mul__)
+        monkeypatch.setattr(weyl.QDiffOp, "__mul__", mul)
+        premul = counting("premul", weyl.OperatorPolynomial.premul)
+        monkeypatch.setattr(weyl.OperatorPolynomial, "premul", premul)
+        qside._mcal_chain.cache_clear()
+        qside.mcal(self.rep, 4, with_D)
+        assert len(qside._mcal_chain(2, self.rep.points, with_D)) == 4
+        assert counts == {"mul": 1, "premul": 3}
 
     def test_mcal_chains(self):
         qside.mcal(self.rep, 2)

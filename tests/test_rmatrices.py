@@ -1,10 +1,12 @@
 """Distinguished tensors: flips, skew tensors, r- and R-matrices."""
 
+import ast
+import inspect
 import random
 
 import pytest
 
-from triggaudin import suites
+from triggaudin import gaudin, qside, rmatrices, suites
 from triggaudin.rationals import QQ, parse_rational, rational
 from triggaudin.ratfun import FracField, PoleError
 from triggaudin.rmatrices import (
@@ -29,7 +31,8 @@ from triggaudin.rmatrices import (
 from triggaudin.series import QSeriesRing, SeriesRing, TruncSeries
 from triggaudin.tensor import AuxTensor, Space, aux_leg
 
-from tower_reference import Qq
+import rmatrix_reference
+from tower_reference import Q, U, Qq, Qqu
 
 
 def triple(N):
@@ -94,6 +97,72 @@ class TestBuildingBlocks:
         sp = r.space
         assert r.entries[(sp.encode((0, 1)), sp.encode((1, 0)))] == g + 1
         assert r.entries[(sp.encode((1, 0)), sp.encode((0, 1)))] == g - 1
+
+
+def _flip_rings():
+    """(ring, q, x) for QQ, the pole ring Q(u), the Laurent ring
+    Q[q^+-1, u^+-1] and Q(y); x is the argument of T and r."""
+    Qu, QU, Fy = gaudin.Qu, qside.QU, FracField("y", QQ)
+    return [
+        pytest.param(QQ, rational(3, 2), rational(2, 7), id="QQ"),
+        pytest.param(Qu, Qu.from_int(3), Qu.gen, id="Qu"),
+        pytest.param(QU, QU.gens[0], QU.from_int(3), id="QU"),
+        pytest.param(Fy, Fy.from_int(2), Fy.gen, id="Fy"),
+    ]
+
+
+FLIPS = ["permutation", "tc", "tc_bar", "t_of_y", "r_classical", "q_permutation"]
+
+
+def _flip_args(name, q, x):
+    return {"t_of_y": (x,), "r_classical": (x,), "q_permutation": (q,)}.get(name, ())
+
+
+class TestWeightedFlips:
+    @pytest.mark.parametrize("N", [1, 2, 3, 4])
+    @pytest.mark.parametrize("name", FLIPS)
+    @pytest.mark.parametrize("ring, q, x", _flip_rings())
+    def test_builders_match_their_entry_by_entry_form(self, N, name, ring, q, x):
+        args = _flip_args(name, q, x)
+        want = getattr(rmatrix_reference, name)(N, ring, *args)
+        assert getattr(rmatrices, name)(N, ring, *args) == want
+
+    @pytest.mark.parametrize("name", ["tc", "q_permutation", "r_classical"])
+    def test_transposed_weights_fail(self, name, monkeypatch):
+        # negative control: the layout filled with weight(j, i); these
+        # three have c_ji != c_ij, so they differ from N = 2 on
+        real = rmatrices.weighted_flip
+
+        def transposed(N, ring, weight):
+            return real(N, ring, lambda i, j: weight(j, i))
+
+        monkeypatch.setattr(rmatrices, "weighted_flip", transposed)
+        args = _flip_args(name, rational(3, 2), rational(2, 7))
+        for N in range(1, 5):
+            want = getattr(rmatrix_reference, name)(N, QQ, *args)
+            assert (getattr(rmatrices, name)(N, QQ, *args) == want) == (N == 1)
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_r_quantum_matches_its_entry_formula(self, N):
+        # over Q(q) at a rational x and over Q(q)(u) at x = u
+        for ring, q, x in ((Qq, Qq.gen, Qq.embed(rational(2, 7))), (Qqu, Q, U)):
+            want = rmatrix_reference.r_quantum(N, ring, q, x)
+            assert r_quantum(N, ring, q, x) == want
+        with pytest.raises(PoleError):
+            r_quantum(N, Qq, Qq.gen, Qq.gen * Qq.gen)
+
+    def test_only_the_quantum_r_matrix_is_built_entry_by_entry(self):
+        # structural guard: every flip goes through weighted_flip
+        tree = ast.parse(inspect.getsource(rmatrices))
+        callers = {
+            f.name
+            for f in tree.body
+            if isinstance(f, ast.FunctionDef)
+            for node in ast.walk(f)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "two_leg_tensor"
+        }
+        assert callers == {"r_quantum_scaled"}
 
 
 class TestClassicalAxioms:

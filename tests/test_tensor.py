@@ -389,6 +389,20 @@ class TestFlipTrace:
         monkeypatch.setattr(tensor_module, "_flip_weights", transposed)
         assert Y.flip_trace(flip).entries != want
 
+    @pytest.mark.parametrize("N", [1, 2, 3, 4])
+    def test_weighted_flip_round_trips(self, N):
+        # weighted_flip writes c_ij at e_ij (x) e_ji, _flip_weights reads
+        # it back by block j * N + i; zero weights are left out
+        def weight(i, j):
+            return Fraction(i - j, j)
+
+        flip = tensor_module.weighted_flip(N, QQ, weight)
+        want = [None] * (N * N)
+        for i in range(N):
+            for j in range(N):
+                want[j * N + i] = weight(i + 1, j + 1) or None
+        assert tensor_module._flip_weights(flip) == want
+
     def test_r_classical_is_a_weighted_flip(self):
         # r(x) carries (1+x)/(1-x) + sign(j-i) on e_ij (x) e_ji only
         Qu = gaudin.Qu
