@@ -136,6 +136,20 @@ def _pole_products(keys):
     return tuple(whole), tuple(others)
 
 
+@lru_cache(maxsize=1024)
+def _lift(own, top):
+    """prod (q u - p)^(e - own exponent) over the poles ((p, q), e) of
+    ``top``: what lifts an element with the poles ``own`` to ``top``.
+    Kept per (own, top), at most 1024 of them."""
+    exps = dict(own)
+    out = [1]
+    for key, e in top:
+        lift = e - exps.get(key, 0)
+        if lift:
+            out = _times_linear(out, *key, lift)
+    return tuple(out)
+
+
 def _series(b, factors, order):
     """b(s) prod (w + c s)^(-e) up to s^order, as (ints, den).
 
@@ -336,11 +350,13 @@ class PoleFun:
         """sum v * w over the (v, w) pairs, all in one ring, as one element.
 
         Each product's numerator is formed raw, with its pole exponents
-        added and nothing cancelled; the products are lifted to the
-        largest exponent of every factor over the lcm of their
-        denominators and added once, and the sum gets one full pole
-        cancellation and one content reduction.  A lone product by a
-        constant only scales the other factor, whose poles all stay.
+        added and nothing cancelled; the products with the same poles
+        are added, each such group is lifted to the largest exponent of
+        every factor over the lcm of the denominators by one product
+        with its kept lift polynomial (:func:`_lift`), and the sum gets
+        one full pole cancellation and one content reduction.  A lone
+        product by a constant only scales the other factor, whose poles
+        all stay.
         """
         first = pairs[0][0]
         ring = first.ring
@@ -400,11 +416,7 @@ class PoleFun:
         out = []
         for own, num in groups.items():
             if own != poles:
-                exps = dict(own)
-                for key, e in poles:
-                    lift = e - exps.get(key, 0)
-                    if lift:
-                        num = _times_linear(num, *key, lift)
+                num = _conv(num, _lift(own, poles))
             out = _plus(out, num)
         n = len(out)
         while n and not out[n - 1]:

@@ -375,7 +375,7 @@ def trace_identity_pi(m, subset, N):
     legs = ["t%d" % a for a in subset]
     steps = range(len(subset) - 1, 0, -1)
     rhs = chain(traced.space, QU, [(pq, legs[t - 1], legs[t]) for t in steps])
-    return (traced - rhs).is_zero()
+    return traced == rhs
 
 
 # ---------------------------------------------------------------------------

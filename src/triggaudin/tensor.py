@@ -11,11 +11,14 @@ The builders (:func:`single_leg_matrix`, :func:`two_leg_tensor`,
 of :func:`aux_space`; :meth:`AuxTensor.place` alone moves a tensor onto
 other legs.  A weighted flip sum_ij c_ij e_ij (x) e_ji is laid out in
 this module only: :func:`weighted_flip` writes it from the N^2 weights
-and :func:`_flip_weights` reads them back for ``flip_trace``.
-:func:`chain` multiplies tensors on legs of a space and sums each
-traced leg in the product with its last factor, so a product over many
-auxiliary legs never holds all of them at once, and the product that
-ends a leg is never formed whole.
+and :func:`_flip_weights` reads them back, for ``flip_trace`` and for
+:func:`chain`, which asks it, without raising, whether a factor is a
+flip.  :func:`chain` multiplies tensors on legs of a space and sums
+each traced leg with its last factor, so a product over many auxiliary
+legs never holds all of them at once.  A flip factor is applied by
+reindexing (``_times_flip``) and the legs it ends are then traced; any
+other factor is placed, and the product that ends a leg is never
+formed whole.
 
 Only this module packs flat indices.  ``embed`` and ``partial_trace``
 do not unpack them entry by entry: ``embed`` adds one precomputed
@@ -28,7 +31,11 @@ to :func:`~triggaudin.kernels.sparse_matmul_trace`, which multiplies
 only the pairs of entries that agree on the traced digits.  ``flip_trace``
 contracts a weighted flip with a tensor without forming their product:
 it reads each entry's block on the first leg by two integer divisions
-and scales the entry by that block's weight.
+and scales the entry by that block's weight.  ``_times_flip``
+multiplies a tensor by a flip on two of its legs the same way: it
+moves each entry to the column with the two legs' digits swapped and
+scales it by their weight, both read from two tables cached per
+(N, number of legs, the two positions).
 """
 
 from functools import lru_cache
@@ -347,9 +354,7 @@ class AuxTensor:
         if flip.space.N != N:
             raise ValueError("leg size mismatch in flip_trace")
         weights = _flip_weights(flip)
-        one = self.ring.one
-        keep = {b for b, w in enumerate(weights) if w is not None and w == one}
-        negate = {b for b, w in enumerate(weights) if w is not None and w == -one}
+        keep, negate = _unit_blocks(weights, self.ring.one)
         stride = N ** (self.space.nlegs - 1)
         out = {}
         for key, v in self.entries.items():
@@ -363,6 +368,35 @@ class AuxTensor:
                 if p:
                     out[key] = p
         return AuxTensor(self.space, self.ring, out)
+
+    def _times_flip(self, weights, a, b):
+        """self * T_ab for the weighted flip T = sum_ij c_ij e_ij (x) e_ji
+        whose :func:`_flip_weights` are ``weights``, T's first leg on a.
+
+        T sends the column with digit i on a and j on b to the column
+        with j on a and i on b, times c_ij, so each entry of self moves
+        to that column and is multiplied on the right by its weight:
+        kept, negated or multiplied, and dropped where c_ij is zero.
+        No product is formed and T is not placed.  The result lives on
+        self's space.
+        """
+        space = self.space
+        moved, block = _flip_tables(
+            space.N, space.nlegs, space.position(a), space.position(b)
+        )
+        keep, negate = _unit_blocks(weights, self.ring.one)
+        out = {}
+        for (r, c), v in self.entries.items():
+            k = block[c]
+            if k in keep:
+                out[(r, moved[c])] = v
+            elif k in negate:
+                out[(r, moved[c])] = -v
+            elif weights[k] is not None:
+                p = v * weights[k]
+                if p:
+                    out[(r, moved[c])] = p
+        return AuxTensor(space, self.ring, out)
 
     def trace(self):
         """Full trace over all legs, as a ring element."""
@@ -387,8 +421,13 @@ def chain(space, ring, factors, traced=()):
     to right in the order given.  The running product starts from the
     first factor and holds only the legs that some factor has reached and
     that are not summed yet; a leg joins (as the identity) when a factor
-    first reaches it.  A leg in ``traced`` is summed by the product with
-    its last factor (:meth:`AuxTensor.product_trace`), since
+    first reaches it.  A factor after the first that is a weighted flip
+    (:func:`_flip_weights`) multiplies the running product by
+    reindexing (:meth:`AuxTensor._times_flip`), and the legs that it
+    ends are then summed by ``partial_trace``; any other factor is
+    placed on the running product's legs and multiplied, and a leg that
+    it ends is summed in that product (:meth:`AuxTensor.product_trace`).
+    Summing a leg after its last factor is exact, since
     tr_a(A X B) = A tr_a(X) B when B does not act on leg a, and a traced
     leg that no factor touches contributes a factor N.  The result lives
     on ``space.drop(traced)``; no factors and nothing traced give the
@@ -411,6 +450,13 @@ def chain(space, ring, factors, traced=()):
         if not out.space._pos.keys() >= set(legs):
             grown = _sub_space(space, set(legs).union(out.space._pos))
             out = out.place(grown, *out.space.leg_names())
+        weights = _flip_weights(t, strict=False)
+        # a flip of another ring or leg size is refused by the product below
+        if weights is not None and t.ring == out.ring and t.space.N == space.N:
+            out = out._times_flip(weights, *legs)
+            if done:
+                out = out.partial_trace(done)
+            continue
         t = t.place(out.space, *legs)
         out = out.product_trace(t, done) if done else out * t
     target = space.drop(traced)
@@ -469,13 +515,17 @@ def weighted_flip(N, ring, weight):
     return AuxTensor(aux_space(N, 2), ring, entries)
 
 
-def _flip_weights(flip):
+def _flip_weights(flip, strict=True):
     """The weights of a weighted flip sum_ij c_ij e_ij (x) e_ji, by the
     block of the traced leg they scale: entry j * N + i is c_ij, or None
-    where c_ij is zero.  ``ValueError`` unless ``flip`` has two legs and
-    every entry sits at row (i, j), column (j, i)."""
+    where c_ij is zero.  Unless ``flip`` has two legs and every entry
+    sits at row (i, j), column (j, i), this raises ``ValueError``, or
+    returns None when ``strict`` is false (how :func:`chain` finds its
+    flip factors)."""
     N = flip.space.N
     if flip.space.nlegs != 2:
+        if not strict:
+            return None
         raise ValueError("a weighted flip has two legs, not %d" % flip.space.nlegs)
     weights = [None] * (N * N)
     for (r, c), v in flip.entries.items():
@@ -483,6 +533,8 @@ def _flip_weights(flip):
         i, k = divmod(r, N)
         j, l = divmod(c, N)
         if (k, l) != (j, i):
+            if not strict:
+                return None
             raise ValueError(
                 "not a weighted flip: entry e_%d%d (x) e_%d%d"
                 % (i + 1, j + 1, k + 1, l + 1)
@@ -490,6 +542,31 @@ def _flip_weights(flip):
         if v:
             weights[j * N + i] = v
     return weights
+
+
+def _unit_blocks(weights, one):
+    """The blocks whose weight is one and those whose weight is -one."""
+    keep = {b for b, w in enumerate(weights) if w is not None and w == one}
+    negate = {b for b, w in enumerate(weights) if w is not None and w == -one}
+    return keep, negate
+
+
+@lru_cache(maxsize=64)
+def _flip_tables(N, n, pa, pb):
+    """Two tables over the flat indices of an n-leg space, for a flip on
+    the legs at positions pa and pb: the index with the digits i on pa
+    and j on pb swapped, and the block j * N + i of the weight c_ij that
+    scales it.  Cached per (N, n, pa, pb), at most 64 of them."""
+    sa = N ** (n - 1 - pa)
+    sb = N ** (n - 1 - pb)
+    moved = []
+    block = []
+    for c in range(N**n):
+        i = c // sa % N
+        j = c // sb % N
+        moved.append(c + (j - i) * (sa - sb))
+        block.append(j * N + i)
+    return tuple(moved), tuple(block)
 
 
 def aux_space(N, k):

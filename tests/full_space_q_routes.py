@@ -4,18 +4,21 @@ Both products here keep every auxiliary leg beside the site legs, in a
 space of dimension N^(m+l), and take the partial trace only at the end.
 :func:`triggaudin.qside.mcal` and :func:`triggaudin.qside.bethe` sum
 each leg as soon as its last factor is applied; the differential tests
-compare the two.
+compare the two.  The Newton projector's chain of P^q is multiplied by
+:func:`tensor_reference.chain`, not by :func:`triggaudin.tensor.chain`'s
+reindexing.
 """
 
 from triggaudin.qside import QU, _gens, qrep_current
 from triggaudin.rmatrices import (
-    adjacent_q_chain,
     antisymmetrizer,
     diag_shift_d,
     permutation,
     q_permutation,
 )
 from triggaudin.weyl import QDiffOp
+
+import tensor_reference
 
 
 def mcal(rep, m, with_D=False):
@@ -55,7 +58,9 @@ def bethe(rep, kind, k, with_D=False, ring=QU, q=None, u=None):
     if kind == "antisym":
         acc = antisymmetrizer(k, rep.N, ring, q).place(space, *bnames)
     else:
-        acc = adjacent_q_chain(space, ring, q, range(k - 1, 0, -1))
+        pq = q_permutation(rep.N, ring, q)
+        factors = [(pq, bnames[a - 1], bnames[a]) for a in range(k - 1, 0, -1)]
+        acc = tensor_reference.chain(space, ring, factors)
     for a in range(1, k + 1):
         La = qrep_current(rep, ring, q, u * q ** (2 - 2 * a))
         acc = acc * La.place(space, bnames[a - 1], *sites)

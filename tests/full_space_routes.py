@@ -4,11 +4,15 @@ Both routes here keep every auxiliary leg t_1..t_m beside the quantum
 legs, in a space of dimension N^(m+l), and take the partial trace only
 at the end.  :class:`triggaudin.gaudin.ThetaContext` traces each leg as
 soon as it is done with it; the differential tests compare the two.
+The chains of flips are multiplied by :func:`tensor_reference.chain`,
+not by :func:`triggaudin.tensor.chain`'s reindexing.
 """
 
 from triggaudin.rmatrices import permutation, t_taylor, tc
-from triggaudin.tensor import Space, aux_leg, chain
+from triggaudin.tensor import Space, aux_leg
 from triggaudin.weyl import DiffOp
+
+import tensor_reference
 
 
 def _compositions(total, parts):
@@ -59,7 +63,7 @@ def theta_generating(ctx, m, shifted=False):
             for a in range(s - 1, 0, -1):
                 t = t_taylor(ctx.N, ctx.ring, orders[a - 1])
                 factors.append((t, "t%d" % a, "t%d" % (a + 1)))
-            term = prod.premul(chain(space, ctx.ring, factors))
+            term = prod.premul(tensor_reference.chain(space, ctx.ring, factors))
             term = term.partial_trace(_aux_names(s))
             total = term if total is None else total + term
     return total

@@ -1,8 +1,12 @@
-"""Embedding and partial trace by decoding every flat index, as a test reference.
+"""Embedding, partial trace and chains of products, as a test reference.
 
 :meth:`triggaudin.tensor.AuxTensor.embed` and ``partial_trace`` index
 by precomputed offsets; these are the entry-by-entry versions they
 replaced, built on :func:`decode` and ``Space.encode`` alone.
+:func:`triggaudin.tensor.chain` sums each traced leg with its last
+factor and multiplies by a weighted flip by reindexing; :func:`chain`
+here places every factor in the whole space, multiplies and traces at
+the end.
 """
 
 import itertools
@@ -66,3 +70,13 @@ def partial_trace(tensor, names):
         else:
             out[key] = v
     return AuxTensor(new_space, tensor.ring, out)
+
+
+def chain(space, ring, factors, traced=()):
+    """The product of ``(tensor, leg, ...)`` factors, left to right, each
+    placed in the whole of ``space`` with its i-th leg on the i-th named
+    leg, with the ``traced`` legs summed at the end."""
+    out = AuxTensor.identity(space, ring)
+    for t, *legs in factors:
+        out = out * embed(t, space, dict(zip(t.space.leg_names(), legs)))
+    return partial_trace(out, traced)

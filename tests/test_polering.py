@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, find, given, settings, strategies as st
 
 from triggaudin import gaudin, polering
 from triggaudin.gaudin import Qu
@@ -301,6 +301,50 @@ class TestDot:
             ):
                 with pytest.raises(error):
                     PoleFun.dot(pairs)
+
+    def test_lift_is_built_on_a_cache_miss_only(self, monkeypatch):
+        # structural guard: a group is lifted by one product with the
+        # kept lift polynomial, so _times_linear runs only when the
+        # (own poles, top poles) pair is new
+        inv1 = Qu.one / linear(Fraction(1))[0]
+        inv3 = Qu.one / linear(Fraction(-3))[0]
+        inv_half = Qu.one / linear(Fraction(1, 2))[0]
+        pairs = [(inv1, inv3), (inv_half, Qu.gen), (inv1, inv_half)]
+        calls = []
+        real = polering._times_linear
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        want = fold(pairs)
+        monkeypatch.setattr(polering, "_times_linear", counting)
+        polering._lift.cache_clear()
+        assert PoleFun.dot(pairs) == want
+        assert calls
+        calls.clear()
+        assert PoleFun.dot(pairs) == want
+        assert calls == []
+
+    def test_lift_kept_by_top_poles_alone_fails(self, monkeypatch):
+        # negative control: a lift kept per top poles only serves one
+        # group's lift to groups with other poles, and the drawn cases
+        # of the differential test above catch it
+        real = polering._lift.__wrapped__
+        kept = {}
+
+        def by_top(own, top):
+            if top not in kept:
+                kept[top] = real(own, top)
+            return kept[top]
+
+        monkeypatch.setattr(polering, "_lift", by_top)
+        pairs = find(
+            st.lists(st.tuples(ring_elements, ring_elements), min_size=1, max_size=5),
+            lambda pairs: PoleFun.dot(pairs) != fold(pairs),
+            settings=settings(SETTINGS, phases=[Phase.generate]),
+        )
+        assert len(pairs) > 1
 
     def test_uncancelled_dot_is_unequal(self, monkeypatch):
         # negative control: without the final pole cancellation the sum

@@ -6,7 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import Phase, find, given, settings, strategies as st
 
-from triggaudin import gaudin, qside
+from triggaudin import gaudin, kernels, qside, suites
 from triggaudin import tensor as tensor_module
 from triggaudin.kernels import sparse_add, sparse_matmul_trace
 from triggaudin.rationals import QQ, rational
@@ -158,25 +158,40 @@ def spaces(draw, min_legs=1):
                      for i, qu in enumerate(quantum)])
 
 
+flip_weights = st.one_of(
+    st.just(Fraction(0)), st.sampled_from([Fraction(1), Fraction(-1)]), values
+)
+
+
 @st.composite
 def chain_cases(draw):
-    """(space, factors, traced): 0-4 factors of 1-3 legs each, and any
-    set of auxiliary legs to trace, touched by a factor or not."""
+    """(space, factors, traced): 0-4 factors, each a tensor of 1-3 legs
+    or a weighted flip (weights random, zero or +-1) on two legs in
+    either order, and any set of auxiliary legs to trace, touched by a
+    factor or not."""
     space = draw(spaces(min_legs=2))
+    N = space.N
     names = space.leg_names()
     factors = []
     for _ in range(draw(st.integers(min_value=0, max_value=4))):
-        legs = draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True))
-        factors.append((draw(tensors(space.N, len(legs))), *legs))
+        if draw(st.booleans()):
+            legs = draw(st.permutations(names))[:2]
+            w = draw(st.lists(flip_weights, min_size=N * N, max_size=N * N))
+            t = tensor_module.weighted_flip(N, QQ, lambda i, j: w[(i - 1) * N + j - 1])
+        else:
+            legs = draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True))
+            t = draw(tensors(N, len(legs)))
+        factors.append((t, *legs))
     aux = [leg.name for leg in space.legs if not leg.quantum]
     traced = draw(st.sets(st.sampled_from(aux))) if aux else set()
     return space, factors, traced
 
 
 def agrees(chain_fn, space, factors, traced):
-    """``chain_fn`` with ``traced`` equals the full product, then traced."""
-    return chain_fn(space, QQ, factors, traced) == chain(space, QQ, factors).partial_trace(
-        traced
+    """``chain_fn`` with ``traced`` equals every factor placed in the whole
+    space, multiplied and then traced (:func:`tensor_reference.chain`)."""
+    return chain_fn(space, QQ, factors, traced) == tensor_reference.chain(
+        space, QQ, factors, traced
     )
 
 
@@ -264,6 +279,53 @@ class TestTracedChain:
             settings=settings(SETTINGS, phases=[Phase.generate]),
         )
         assert factors and traced
+
+
+class TestFlipChain:
+    """``chain`` multiplies by a weighted flip by reindexing; the drawn
+    cases of :class:`TestTracedChain` compare it with the reference,
+    which places every factor, multiplies and traces at the end."""
+
+    def test_transposed_weights_fail(self, monkeypatch):
+        # negative control: the drawn cases and the trace-lemma tasks
+        # catch a kernel that reads c_ji for c_ij
+        real = tensor_module._flip_tables
+
+        def transposed(N, n, pa, pb):
+            moved, block = real(N, n, pa, pb)
+            return moved, tuple(b % N * N + b // N for b in block)
+
+        assert suites.task_trpi(3, 3)[0] and suites.task_trace_cycle(2, 3)[0]
+        monkeypatch.setattr(tensor_module, "_flip_tables", transposed)
+        space, factors, traced = find(
+            chain_cases(),
+            lambda case: not agrees(chain, *case),
+            settings=settings(SETTINGS, phases=[Phase.generate]),
+        )
+        assert factors
+        assert not suites.task_trpi(3, 3)[0]
+        assert not suites.task_trace_cycle(2, 3)[0]
+
+    def test_trace_lemmas_form_no_product(self, monkeypatch):
+        # structural guard: every factor of these chains is a flip, so no
+        # product loop runs; the same counter sees the placed products
+        # when no factor is taken for a flip
+        calls = []
+        real = kernels.sparse_matmul_sum
+
+        def counting(products):
+            calls.append(len(products))
+            return real(products)
+
+        monkeypatch.setattr(kernels, "sparse_matmul_sum", counting)
+        monkeypatch.setattr(tensor_module, "sparse_matmul_sum", counting)
+        assert suites.task_trpi(2, 4)[0] and suites.task_trace_cycle(3, 5)[0]
+        assert calls == []
+        monkeypatch.setattr(
+            tensor_module, "_flip_weights", lambda flip, strict=True: None
+        )
+        assert suites.task_trpi(2, 4)[0] and suites.task_trace_cycle(3, 5)[0]
+        assert calls
 
 
 # -- weighted flips against place, premul and partial_trace --------------
